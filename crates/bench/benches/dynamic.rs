@@ -203,6 +203,12 @@ fn write_json(path: &str, quick: bool, results: &[CellResult]) -> std::io::Resul
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str("  \"bench\": \"dynamic\",\n");
+    // Wall times are hardware-dependent; record what the host offered, as the
+    // parallel bench does.
+    let host_threads = std::thread::available_parallelism()
+        .map(std::num::NonZeroUsize::get)
+        .unwrap_or(1);
+    out.push_str(&format!("  \"host_threads\": {host_threads},\n"));
     out.push_str("  \"topology\": \"hypercube-8\",\n");
     out.push_str(&format!(
         "  \"grid\": \"{}\",\n",

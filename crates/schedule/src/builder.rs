@@ -63,13 +63,14 @@ pub struct ScheduleBuilder<'a> {
     pub(crate) txn_depth: usize,
     /// Decision-graph nodes whose predecessor set changed since the last re-timing —
     /// the seeds of the next dirty-cone pass.  Deduplicated at insertion via the
-    /// generation stamps below (so bulk mutation batches don't bloat the list or the
-    /// per-transaction snapshot clone); may still contain stale hop indices, which the
-    /// incremental pass filters.
+    /// generation stamps below (so bulk mutation batches don't bloat the list); may
+    /// still contain stale hop indices, which the incremental pass filters.  A
+    /// transaction only records its length: opening one is O(1), and rollback
+    /// truncates back to it in O(entries added) (see [`crate::txn`]).
     pub(crate) dirty: Vec<DirtyNode>,
     /// Current dirty-list generation.  A node is in `dirty` iff its stamp below equals
-    /// this; bumping the generation (on re-timing and on rollback) empties the stamp
-    /// set in O(1).
+    /// this; bumping the generation (on re-timing, and on a rollback across one)
+    /// empties the stamp set in O(1).
     pub(crate) dirty_gen: u64,
     /// Per-task dirty-generation stamp (see [`ScheduleBuilder::dirty_gen`]).
     pub(crate) task_dirty_stamp: Vec<u64>,
@@ -77,6 +78,11 @@ pub struct ScheduleBuilder<'a> {
     /// route the edge has ever carried and are never shrunk (stale high indices are
     /// dead storage, exactly like the scaffold's slot maps).
     pub(crate) hop_dirty_stamp: Vec<Vec<u64>>,
+    /// Dirty lists consumed by re-timing passes inside open transactions, in pass
+    /// order.  [`UndoOp::ClearDirty`] records a watermark into this stack, exactly like
+    /// [`UndoOp::Retime`] does into the re-timing stacks below; truncated by rollback,
+    /// cleared when the outermost transaction commits, capacity kept.
+    pub(crate) dirty_stash: Vec<DirtyNode>,
     /// Number of currently placed tasks (maintained by place/unplace and their undos),
     /// so the re-timing pass can decide in O(1) whether the flat relaxation — which
     /// needs every task placed — is an eligible routing target.
@@ -125,6 +131,7 @@ impl<'a> ScheduleBuilder<'a> {
             dirty_gen: 1,
             task_dirty_stamp: vec![0; graph.num_tasks()],
             hop_dirty_stamp: vec![Vec::new(); graph.num_edges()],
+            dirty_stash: Vec::new(),
             placed_count: 0,
             scaffold: RetimeScaffold::for_problem(graph.num_tasks(), graph.num_edges()),
             retime_undo_tasks: Vec::new(),

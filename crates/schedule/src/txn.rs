@@ -19,7 +19,15 @@
 //! dirty-cone re-timing pass ([`ScheduleBuilder::recompute_times_from`]): every
 //! operation marks the decision-graph nodes whose predecessor set it changed, so the
 //! incremental pass knows exactly which cone to relax.  Rolling a transaction back
-//! restores the dirty list to its pre-transaction contents.
+//! restores the dirty list to its pre-transaction contents and order.
+//!
+//! Cost contract: opening a transaction is O(1) — it records the undo-log length, the
+//! dirty list's length and its generation, and copies nothing.  Rollback costs
+//! O(undo ops + dirty entries added) since the matching [`ScheduleBuilder::begin_txn`]:
+//! entries pushed since the watermark are unstamped and truncated away.  A re-timing
+//! pass inside the transaction empties the list; it moves the consumed entries onto a
+//! persistent stash and logs an undo record, so only a rollback across a re-timing pays
+//! for restoring (and re-stamping) the list it consumed.
 
 use crate::builder::ScheduleBuilder;
 use crate::schedule::MessageHop;
@@ -67,6 +75,11 @@ pub(crate) enum UndoOp {
     /// steady state.  LIFO rollback guarantees the suffixes above the watermarks belong
     /// to exactly this pass.
     Retime { tasks_from: usize, hops_from: usize },
+    /// Reverse of `clear_dirty` (a re-timing pass consumed the dirty list): the consumed
+    /// entries were appended to the builder's persistent `dirty_stash` above
+    /// `stash_from`; undoing moves them back into the (emptied) dirty list.  Same
+    /// watermark scheme as [`UndoOp::Retime`], so it allocates nothing in steady state.
+    ClearDirty { stash_from: usize },
 }
 
 /// Handle for an open transaction on a [`ScheduleBuilder`].
@@ -79,8 +92,12 @@ pub(crate) enum UndoOp {
 pub struct Txn {
     /// Undo-log length when the transaction began; rollback pops down to this.
     watermark: usize,
-    /// Dirty-node list when the transaction began; rollback restores it.
-    dirty_snapshot: Vec<DirtyNode>,
+    /// Dirty-list length when the transaction began; rollback truncates back to it.
+    dirty_len: usize,
+    /// Dirty generation when the transaction began.  Unchanged at rollback iff no
+    /// re-timing emptied the list since, in which case the list still starts with the
+    /// pre-transaction entries and only the suffix above `dirty_len` needs unstamping.
+    dirty_gen: u64,
     /// Nesting depth of this transaction (1 = outermost), for LIFO enforcement.
     depth: usize,
 }
@@ -88,12 +105,13 @@ pub struct Txn {
 impl<'a> ScheduleBuilder<'a> {
     /// Opens a transaction.  All mutations until the matching
     /// [`ScheduleBuilder::commit`] / [`ScheduleBuilder::rollback`] are recorded in the
-    /// undo log.
+    /// undo log.  O(1): nothing is copied.
     pub fn begin_txn(&mut self) -> Txn {
         self.txn_depth += 1;
         Txn {
             watermark: self.undo.len(),
-            dirty_snapshot: self.dirty.clone(),
+            dirty_len: self.dirty.len(),
+            dirty_gen: self.dirty_gen,
             depth: self.txn_depth,
         }
     }
@@ -115,12 +133,14 @@ impl<'a> ScheduleBuilder<'a> {
             // is kept, so steady-state migrations never reallocate here).
             self.retime_undo_tasks.clear();
             self.retime_undo_hops.clear();
+            self.dirty_stash.clear();
         }
     }
 
     /// Rolls a transaction back, restoring the builder to its exact state at the
     /// matching [`ScheduleBuilder::begin_txn`] (placements, routes, timelines, task and
-    /// hop times, and the dirty-node list).
+    /// hop times, and the dirty-node list with its order).  Costs O(undo ops + dirty
+    /// entries added) since the transaction began.
     ///
     /// # Panics
     /// Panics if `txn` is not the innermost open transaction.
@@ -133,14 +153,28 @@ impl<'a> ScheduleBuilder<'a> {
             let op = self.undo.pop().expect("undo log is non-empty");
             self.apply_undo(op);
         }
-        // Restoring the snapshot wholesale invalidates the insertion-dedup stamps:
-        // start a fresh generation and re-stamp the restored entries so future
-        // `mark_dirty` calls keep deduplicating against them.
-        self.dirty = txn.dirty_snapshot;
-        self.dirty_gen += 1;
-        for i in 0..self.dirty.len() {
-            let node = self.dirty[i];
-            self.stamp_dirty(node);
+        // Undoing any `ClearDirty` put back the list the transaction's first re-timing
+        // consumed, which starts with the pre-transaction entries; without one the list
+        // grew only by pushes.  Either way, the pre-transaction list is the prefix.
+        if self.dirty_gen == txn.dirty_gen {
+            // Every entry is stamped with the current generation and nothing else is:
+            // unstamp the pushed suffix so later marks of those nodes push them again.
+            for i in txn.dirty_len..self.dirty.len() {
+                let node = self.dirty[i];
+                *self.dirty_stamp(node) = 0;
+            }
+            self.dirty.truncate(txn.dirty_len);
+        } else {
+            // The generation moved (a re-timing ran inside this transaction, or inside
+            // an inner one that rolled back): the restored entries carry older stamps,
+            // and current-generation stamps may belong to discarded entries.  Start a
+            // fresh generation and re-stamp the restored list.
+            self.dirty.truncate(txn.dirty_len);
+            self.dirty_gen += 1;
+            for i in 0..self.dirty.len() {
+                let node = self.dirty[i];
+                *self.dirty_stamp(node) = self.dirty_gen;
+            }
         }
         self.txn_depth -= 1;
     }
@@ -174,21 +208,23 @@ impl<'a> ScheduleBuilder<'a> {
 
     /// Marks a decision-graph node as needing re-timing.  Deduplicated in O(1) via the
     /// generation stamps: a node already in the dirty list this generation is not
-    /// pushed again, so bulk mutation batches (and the dirty-snapshot clone every
-    /// [`ScheduleBuilder::begin_txn`] takes) stay proportional to the number of
-    /// *distinct* dirty nodes, not to the number of mutations.
+    /// pushed again, so bulk mutation batches (and the suffix a rollback unstamps)
+    /// stay proportional to the number of *distinct* dirty nodes, not to the number of
+    /// mutations.
     pub(crate) fn mark_dirty(&mut self, node: DirtyNode) {
-        if self.stamp_dirty(node) {
+        let gen = self.dirty_gen;
+        let stamp = self.dirty_stamp(node);
+        if *stamp != gen {
+            *stamp = gen;
             self.dirty.push(node);
         }
     }
 
-    /// Stamps `node` with the current dirty generation; returns whether it was not
-    /// stamped yet (i.e. the caller should add it to the list).  Hop stamp storage is
-    /// grow-only, like the scaffold's slot maps.
-    fn stamp_dirty(&mut self, node: DirtyNode) -> bool {
-        let gen = self.dirty_gen;
-        let stamp = match node {
+    /// The dirty-generation stamp of `node`: it is in the dirty list iff the stamp
+    /// equals the current generation.  Hop stamp storage is grow-only, like the
+    /// scaffold's slot maps.
+    fn dirty_stamp(&mut self, node: DirtyNode) -> &mut u64 {
+        match node {
             DirtyNode::Task(t) => &mut self.task_dirty_stamp[t.index()],
             DirtyNode::Hop(e, k) => {
                 let marks = &mut self.hop_dirty_stamp[e.index()];
@@ -197,23 +233,26 @@ impl<'a> ScheduleBuilder<'a> {
                 }
                 &mut marks[k as usize]
             }
-        };
-        if *stamp == gen {
-            return false;
         }
-        *stamp = gen;
-        true
     }
 
     /// Empties the dirty list (a re-timing pass consumed it).  Bumping the generation
-    /// invalidates every stamp in O(1) — no map to clear.
+    /// invalidates every stamp in O(1) — no map to clear.  Inside a transaction the
+    /// consumed entries move to the persistent stash first, so a rollback can put
+    /// them back; the stash keeps its capacity, so steady state allocates nothing.
     pub(crate) fn clear_dirty(&mut self) {
+        if self.txn_depth > 0 {
+            let stash_from = self.dirty_stash.len();
+            self.dirty_stash.extend_from_slice(&self.dirty);
+            self.undo.push(UndoOp::ClearDirty { stash_from });
+        }
         self.dirty.clear();
         self.dirty_gen += 1;
     }
 
-    /// Applies one reverse operation.  Bypasses logging and dirty tracking: rollback
-    /// restores the pre-transaction state (including the dirty snapshot) wholesale.
+    /// Applies one reverse operation.  Bypasses logging and dirty tracking: the dirty
+    /// list is restored by [`UndoOp::ClearDirty`] and by the truncation and stamp
+    /// repair [`ScheduleBuilder::rollback`] does after the log is replayed.
     fn apply_undo(&mut self, op: UndoOp) {
         match op {
             UndoOp::Place {
@@ -322,17 +361,28 @@ impl<'a> ScheduleBuilder<'a> {
                 self.retime_undo_tasks.truncate(tasks_from);
                 self.retime_undo_hops.truncate(hops_from);
             }
+            UndoOp::ClearDirty { stash_from } => {
+                // Entries pushed after the re-timing belong to the discarded future;
+                // the consumed list comes back in its original order.  Stamps are
+                // repaired once, at the end of the rollback.
+                self.dirty.clear();
+                self.dirty
+                    .extend_from_slice(&self.dirty_stash[stash_from..]);
+                self.dirty_stash.truncate(stash_from);
+            }
         }
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::DirtyNode;
     use crate::builder::ScheduleBuilder;
     use crate::schedule::MessageHop;
     use bsa_network::builders::ring;
     use bsa_network::{HeterogeneousSystem, LinkId, ProcId};
     use bsa_taskgraph::{EdgeId, TaskGraph, TaskGraphBuilder, TaskId};
+    use std::collections::HashSet;
 
     fn chain_graph() -> TaskGraph {
         let mut b = TaskGraphBuilder::new();
@@ -444,6 +494,170 @@ mod tests {
         assert_eq!(b.start_of(TaskId(0)), 0.0);
         assert_eq!(b.start_of(TaskId(1)), 10.0);
         assert_eq!(b.start_of(TaskId(2)), 30.0);
+    }
+
+    /// 30 tasks: the chain T0 → T1 → T2 (T0→T1 crosses P0→P1 over link 0) plus 27
+    /// independent tasks alternating over P0 and P2.  Everything is placed and routed
+    /// but never re-timed, so the dirty list holds every placed task — the shape of
+    /// resolve's repair loop and of the baselines' list scheduling.
+    fn pending_builder<'a>(g: &'a TaskGraph, sys: &'a HeterogeneousSystem) -> ScheduleBuilder<'a> {
+        let mut b = ScheduleBuilder::new(g, sys).unwrap();
+        b.place_task(TaskId(0), ProcId(0), 0.0);
+        b.set_route(EdgeId(0), vec![hop(0, 0, 1, 10.0, 15.0)]);
+        b.place_task(TaskId(1), ProcId(1), 20.0);
+        b.place_task(TaskId(2), ProcId(1), 50.0);
+        let mut next = [100.0, 0.0, 100.0];
+        for i in 3..30 {
+            let p = if i % 2 == 0 { 0 } else { 2 };
+            b.place_task(TaskId(i), ProcId(p), next[p as usize]);
+            next[p as usize] += 15.0;
+        }
+        b
+    }
+
+    fn wide_graph() -> TaskGraph {
+        let mut gb = TaskGraphBuilder::new();
+        let t: Vec<_> = (0..30)
+            .map(|i| gb.add_task(format!("T{i}"), 10.0))
+            .collect();
+        gb.add_edge(t[0], t[1], 5.0).unwrap();
+        gb.add_edge(t[1], t[2], 5.0).unwrap();
+        gb.build().unwrap()
+    }
+
+    /// The dedup invariant: a node is stamped with the current generation iff it is in
+    /// the dirty list, and the list holds no node twice.
+    fn assert_stamps_match_list(b: &ScheduleBuilder<'_>) {
+        let listed: HashSet<DirtyNode> = b.dirty.iter().copied().collect();
+        assert_eq!(listed.len(), b.dirty.len(), "dirty list holds a duplicate");
+        for (i, &stamp) in b.task_dirty_stamp.iter().enumerate() {
+            let node = DirtyNode::Task(TaskId(i as u32));
+            assert_eq!(stamp == b.dirty_gen, listed.contains(&node), "{node:?}");
+        }
+        for (e, marks) in b.hop_dirty_stamp.iter().enumerate() {
+            for (k, &stamp) in marks.iter().enumerate() {
+                let node = DirtyNode::Hop(EdgeId(e as u32), k as u32);
+                assert_eq!(stamp == b.dirty_gen, listed.contains(&node), "{node:?}");
+            }
+        }
+    }
+
+    /// Marking `node` twice appends it at most once, at the end of the list (not at all
+    /// when it is already listed).
+    fn assert_marks_once(b: &mut ScheduleBuilder<'_>, node: DirtyNode) {
+        let mut expected = b.dirty.clone();
+        if !expected.contains(&node) {
+            expected.push(node);
+        }
+        b.mark_dirty(node);
+        b.mark_dirty(node);
+        assert_eq!(b.dirty, expected);
+        assert_stamps_match_list(b);
+    }
+
+    #[test]
+    fn speculation_over_a_large_pending_dirty_list_restores_it_exactly() {
+        let g = wide_graph();
+        let sys = HeterogeneousSystem::homogeneous(&g, ring(3).unwrap());
+        let mut b = pending_builder(&g, &sys);
+        let before = b.dirty.clone();
+        assert!(before.len() >= 30, "every placement left pending dirt");
+        let reference = b.clone();
+
+        b.speculate(|s| {
+            s.unplace_task(TaskId(1));
+            s.place_task(TaskId(1), ProcId(2), 1000.0);
+            s.set_route(EdgeId(0), vec![hop(2, 0, 2, 10.0, 15.0)]);
+            s.push_hop(EdgeId(1), hop(1, 2, 1, 1010.0, 1015.0));
+            // A nested speculation over the same pending list.
+            s.speculate(|s| s.unplace_task(TaskId(7)));
+        });
+        assert_eq!(b.dirty, before, "content and order survive the speculation");
+        assert_stamps_match_list(&b);
+        assert!(b.same_schedule_state(&reference));
+        assert!(b.dirty_stash.is_empty());
+
+        // Nodes first marked inside the speculation (the new hop of edge 1) push once.
+        assert_marks_once(&mut b, DirtyNode::Hop(EdgeId(1), 0));
+        assert_marks_once(&mut b, DirtyNode::Task(TaskId(4)));
+
+        // The restored list seeds the same pass an unspeculated builder runs.
+        let mut twin = reference;
+        twin.mark_dirty(DirtyNode::Hop(EdgeId(1), 0));
+        b.recompute_times_incremental().unwrap();
+        twin.recompute_times_incremental().unwrap();
+        assert!(b.same_schedule_state(&twin));
+    }
+
+    #[test]
+    fn rollback_across_a_retime_restores_the_consumed_dirty_list() {
+        let g = wide_graph();
+        let sys = HeterogeneousSystem::homogeneous(&g, ring(3).unwrap());
+        let mut b = pending_builder(&g, &sys);
+        let before = b.dirty.clone();
+        let reference = b.clone();
+
+        // BSA's failed-retime shape: mutate, re-time (consuming the pending list), keep
+        // mutating, then give the whole migration up.
+        let txn = b.begin_txn();
+        b.unplace_task(TaskId(2));
+        b.place_task(TaskId(2), ProcId(1), 2000.0);
+        b.recompute_times_incremental().unwrap();
+        assert!(b.dirty.is_empty(), "the re-timing consumed the list");
+        b.unplace_task(TaskId(9));
+        b.place_task(TaskId(9), ProcId(1), 3000.0);
+        b.set_route(EdgeId(1), vec![hop(1, 1, 2, 40.0, 45.0)]);
+        b.recompute_times_incremental().unwrap();
+        b.mark_dirty(DirtyNode::Task(TaskId(11)));
+        b.rollback(txn);
+
+        assert_eq!(b.dirty, before, "content and order survive two re-timings");
+        assert_stamps_match_list(&b);
+        assert!(b.same_schedule_state(&reference));
+        assert!(b.dirty_stash.is_empty());
+        // Marked after the re-timing (stamped with a newer generation) …
+        assert_marks_once(&mut b, DirtyNode::Hop(EdgeId(1), 0));
+        // … and part of the consumed-then-restored list.
+        assert_marks_once(&mut b, DirtyNode::Task(TaskId(9)));
+    }
+
+    #[test]
+    fn outer_rollback_undoes_an_inner_committed_retime() {
+        let g = wide_graph();
+        let sys = HeterogeneousSystem::homogeneous(&g, ring(3).unwrap());
+        let mut b = pending_builder(&g, &sys);
+        let before = b.dirty.clone();
+        let reference = b.clone();
+
+        let outer = b.begin_txn();
+        b.unplace_task(TaskId(5));
+        b.place_task(TaskId(5), ProcId(1), 500.0);
+        let inner = b.begin_txn();
+        b.unplace_task(TaskId(6));
+        b.place_task(TaskId(6), ProcId(1), 700.0);
+        b.recompute_times_incremental().unwrap();
+        b.commit(inner);
+        // An inner transaction that re-times and rolls back restores the outer's list.
+        let inner = b.begin_txn();
+        b.unplace_task(TaskId(8));
+        b.place_task(TaskId(8), ProcId(1), 900.0);
+        b.recompute_times_incremental().unwrap();
+        b.unplace_task(TaskId(10));
+        b.rollback(inner);
+        assert!(
+            b.dirty.is_empty(),
+            "back to the committed inner re-timing's state"
+        );
+        assert_stamps_match_list(&b);
+        b.unplace_task(TaskId(12));
+        b.rollback(outer);
+
+        assert_eq!(b.dirty, before);
+        assert_stamps_match_list(&b);
+        assert!(b.same_schedule_state(&reference));
+        assert!(b.dirty_stash.is_empty());
+        assert_marks_once(&mut b, DirtyNode::Task(TaskId(12)));
+        assert_marks_once(&mut b, DirtyNode::Task(TaskId(6)));
     }
 
     #[test]

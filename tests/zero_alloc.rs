@@ -1,18 +1,22 @@
-//! Steady-state allocation audit of the incremental re-timing kernel.
+//! Steady-state allocation audit of the incremental re-timing kernel and of
+//! speculation.
 //!
 //! The dirty-cone pass runs on persistent scaffolding (epoch-stamped slot maps,
 //! `clear()`-reused arenas, watermark-based undo stacks — DESIGN.md §7.5), so once a
 //! run's arenas reach their high-water capacity, `recompute_times_incremental` must not
 //! touch the heap at all.  This test pins that down with a counting global allocator:
 //! after a warm-up storm, every further pass — inside and outside transactions, with
-//! task and hop cones — must report **zero** allocations and zero frees.
+//! task and hop cones — must report **zero** allocations and zero frees.  The same
+//! holds for a `speculate` over a long pending dirty list: opening a transaction copies
+//! nothing and rollback only unwinds what the speculation did (DESIGN.md §7.1).
 //!
 //! The file deliberately contains a single `#[test]`: the counter is process-global
 //! (gated to the test thread via a thread-local flag), and a sibling test opting into
 //! counting on another thread would pollute the window.
 
 use bsa::network::builders::ring;
-use bsa::network::{HeterogeneousSystem, LinkId, ProcId};
+use bsa::network::{HeterogeneousSystem, LinkId, ProcId, RoutePolicy};
+use bsa::schedule::router::route_message;
 use bsa::schedule::schedule::MessageHop;
 use bsa::schedule::{RetimeKind, ScheduleBuilder};
 use bsa::taskgraph::{EdgeId, TaskGraphBuilder, TaskId};
@@ -291,4 +295,80 @@ fn steady_state_incremental_retiming_does_not_allocate() {
         "bulk-shaped flat passes grew an arena after warm-up"
     );
     assert!(b.scaffold_matches_rebuild());
+
+    // Steady-state *speculation* over a pending dirty list: a second builder with
+    // every task but the consumer placed and never re-timed, so its dirty list holds
+    // every placed task — the shape of resolve's repair loop (adopt everything, re-time
+    // once at the end) and of DLS/HEFT (never re-time).  One candidate evaluation moves
+    // a task and books the producer → consumer message hop by hop, exactly as
+    // `route_message` does, then places the consumer behind it.  Opening the
+    // transaction must not copy the pending list and rolling back must not re-stamp
+    // it, so after warm-up the whole speculation stays heap-silent.
+    let mut pending = ScheduleBuilder::new(&graph, &system).unwrap();
+    pending.place_task(producer, ProcId(0), 0.0);
+    let mut starts = [100.0, 100.0];
+    for t in graph.task_ids().skip(2) {
+        let p = usize::from(t >= TaskId(51));
+        pending.place_task(t, ProcId(p as u32), starts[p]);
+        starts[p] = pending.finish_of(t);
+    }
+    let candidate = |b: &mut ScheduleBuilder<'_>| {
+        b.speculate(|s| {
+            let p = s.proc_of(victim).unwrap();
+            s.unplace_task(victim);
+            let exec = s.exec_cost(victim, p);
+            let start = s.earliest_proc_slot(p, 1e7, exec);
+            s.place_task(victim, p, start);
+
+            s.clear_route(EdgeId(0));
+            let ready = s.finish_of(producer);
+            let dur = s.transfer_time(LinkId(0), EdgeId(0));
+            let hop_start = s.earliest_link_slot(LinkId(0), ProcId(0), ready, dur);
+            s.push_hop(
+                EdgeId(0),
+                MessageHop {
+                    link: LinkId(0),
+                    from: ProcId(0),
+                    to: ProcId(1),
+                    start: hop_start,
+                    finish: hop_start + dur,
+                },
+            );
+            let exec = s.exec_cost(consumer, ProcId(1));
+            let start = s.earliest_proc_slot(ProcId(1), hop_start + dur, exec);
+            s.place_task(consumer, ProcId(1), start);
+            s.finish_of(consumer)
+        })
+    };
+    let comm = system.comm_model(RoutePolicy::default());
+    let reference = pending.clone();
+    for _ in 0..5 {
+        candidate(&mut pending);
+        route_message(&mut pending, &comm, EdgeId(0), ProcId(0), ProcId(1), 8.0);
+    }
+    for _ in 0..10 {
+        let before = heap_events();
+        let finish = candidate(&mut pending);
+        let after = heap_events();
+        assert!(finish > 0.0);
+        assert_eq!(
+            (after.0 - before.0, after.1 - before.1),
+            (0, 0),
+            "speculation over a pending dirty list allocated in steady state"
+        );
+        // `route_message` speculates the same booking; its only heap traffic is the
+        // owned route it returns.
+        let before = heap_events();
+        let (hops, _) = route_message(&mut pending, &comm, EdgeId(0), ProcId(0), ProcId(1), 8.0);
+        assert_eq!(hops.len(), 1);
+        drop(hops);
+        let after = heap_events();
+        assert_eq!(
+            (after.0 - before.0, after.1 - before.1),
+            (1, 1),
+            "route_message allocated beyond its returned route"
+        );
+    }
+    assert!(pending.same_schedule_state(&reference));
+    assert!(pending.scaffold_matches_rebuild());
 }
