@@ -133,7 +133,7 @@ impl<'a> ScheduleBuilder<'a> {
             hop_dirty_stamp: vec![Vec::new(); graph.num_edges()],
             dirty_stash: Vec::new(),
             placed_count: 0,
-            scaffold: RetimeScaffold::for_problem(graph.num_tasks(), graph.num_edges()),
+            scaffold: RetimeScaffold::new(graph),
             retime_undo_tasks: Vec::new(),
             retime_undo_hops: Vec::new(),
         }
@@ -204,6 +204,16 @@ impl<'a> ScheduleBuilder<'a> {
             LinkMode::FullDuplex => {
                 2 * l.index() + usize::from(from != self.system.topology.link(l).a)
             }
+        }
+    }
+
+    /// The link whose contention timeline is `slot` — the inverse of
+    /// [`ScheduleBuilder::link_slot`] up to direction.
+    #[inline]
+    pub(crate) fn slot_link(&self, slot: usize) -> LinkId {
+        match self.system.topology.link_mode() {
+            LinkMode::HalfDuplex => LinkId::from_index(slot),
+            LinkMode::FullDuplex => LinkId::from_index(slot / 2),
         }
     }
 

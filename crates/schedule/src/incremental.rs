@@ -25,7 +25,7 @@
 //!    overwritten in place at its (cached) position — no interval is ever removed or
 //!    reinserted.  Inside a transaction the old times are recorded for rollback.
 //!
-//! Since PR 3 the pass runs on the builder's persistent scaffold (`crate::scaffold`): epoch-
+//! The pass runs on the builder's persistent scaffold (`crate::scaffold`): epoch-
 //! stamped slot maps instead of per-call `vec![NONE; …]` fills, `clear()`-reused arenas
 //! for the cone/CSR/queue, an O(1) `total_hops` mirror instead of the O(E) `hop_base`
 //! prefix scan, and watermark-based undo records backed by persistent stacks.  The cost
@@ -46,10 +46,11 @@
 //!   downside of an attempt that has to bail;
 //! * the cone-local Kahn kernel above, for small problems and delta bails whose
 //!   horizon stays small;
-//! * `flat_relax` — a whole-schedule relaxation on the same arenas (CSR via two
-//!   counting sweeps, level-batched frontier, in-place write-back, zero steady-state
-//!   allocations) that replaces the much costlier [`crate::recompute`] oracle when
-//!   nearly everything must be re-timed anyway.  It is routed to by the seed count
+//! * `flat_relax` — a whole-schedule relaxation on the same arenas that replaces the
+//!   much costlier [`crate::recompute`] oracle when nearly everything must be re-timed
+//!   anyway.  It builds no adjacency: successors come from the timelines, the route
+//!   chains, and a static message table, relaxed as a level-batched frontier with
+//!   in-place write-back and zero steady-state allocations.  It is routed to by the seed count
 //!   ([`FALLBACK_NUM`]), by the *measured* cone-vs-flat crossover model on the
 //!   seed-horizon estimate (`RetimeScaffold::flat_by_model`, which scales the
 //!   estimate by the observed cone-per-estimate ratio of completed cone passes), or
@@ -68,7 +69,8 @@ use crate::builder::ScheduleBuilder;
 use crate::recompute::RecomputeError;
 use crate::scaffold::{slot_lookup, RetimeScaffold, NONE};
 use crate::txn::{DirtyNode, UndoOp};
-use bsa_taskgraph::TaskId;
+use bsa_network::ProcId;
+use bsa_taskgraph::{EdgeId, TaskId};
 
 /// Which same-result kernel an incremental re-timing pass finished on, and — for the
 /// flat sweeps — which routing rule sent it there.  Every kernel computes the identical
@@ -483,7 +485,7 @@ fn try_delta(
             return Ok(None);
         }
     }
-    let changed = write_back(b, &sc.nodes, &sc.tpos, &sc.start, &sc.finish);
+    let changed = write_back_slots(b, &sc.nodes, &sc.tpos, &sc.start, &sc.finish);
     Ok(Some(RetimeStats {
         seed_nodes,
         cone_nodes: sc.nodes.len(),
@@ -495,58 +497,20 @@ fn try_delta(
     }))
 }
 
-/// In-place write-back of changed node windows, shared by the cone and delta kernels.
-/// Re-timing preserves every timeline's interval order, so each changed window is
-/// overwritten in place at its known position — no remove/insert shifting.  Old times
-/// of moved nodes go onto the builder's persistent undo stacks; the logged
-/// [`UndoOp::Retime`] only records the watermarks (see [`crate::txn`]).  Clears the
-/// dirty list (the pass consumed it).
-fn write_back(
-    b: &mut ScheduleBuilder<'_>,
-    nodes: &[DirtyNode],
-    tpos: &[u32],
-    start: &[f64],
-    finish: &[f64],
+/// In-place write-back shared by every kernel: `apply` overwrites the changed windows
+/// and returns how many moved, pushing old windows onto the builder's persistent undo
+/// stacks when told to log.  Re-timing preserves every timeline's interval order, so
+/// each changed window is overwritten at its known position — no remove/insert
+/// shifting — and the logged [`UndoOp::Retime`] only records the stacks' watermarks
+/// (see [`crate::txn`]).  Clears the dirty list (the pass consumed it).
+fn write_back<'a>(
+    b: &mut ScheduleBuilder<'a>,
+    apply: impl FnOnce(&mut ScheduleBuilder<'a>, bool) -> usize,
 ) -> usize {
     let log = b.in_txn();
     let tasks_from = b.retime_undo_tasks.len();
     let hops_from = b.retime_undo_hops.len();
-    let mut changed = 0usize;
-    for i in 0..nodes.len() {
-        let pos = tpos[i] as usize;
-        match nodes[i] {
-            DirtyNode::Task(t) => {
-                if b.task_start[t.index()] != start[i] || b.task_finish[t.index()] != finish[i] {
-                    if log {
-                        b.retime_undo_tasks.push((
-                            t,
-                            b.task_start[t.index()],
-                            b.task_finish[t.index()],
-                        ));
-                    }
-                    changed += 1;
-                    let p = b.assignment[t.index()].expect("cone tasks are placed");
-                    b.task_start[t.index()] = start[i];
-                    b.task_finish[t.index()] = finish[i];
-                    b.proc_timelines[p.index()].set_window(pos, start[i], finish[i]);
-                }
-            }
-            DirtyNode::Hop(e, k) => {
-                let hop = b.routes[e.index()][k as usize];
-                if hop.start != start[i] || hop.finish != finish[i] {
-                    if log {
-                        b.retime_undo_hops.push((e, k, hop.start, hop.finish));
-                    }
-                    changed += 1;
-                    let slot = b.link_slot(hop.link, hop.from);
-                    let hop = &mut b.routes[e.index()][k as usize];
-                    hop.start = start[i];
-                    hop.finish = finish[i];
-                    b.link_timelines[slot].set_window(pos, start[i], finish[i]);
-                }
-            }
-        }
-    }
+    let changed = apply(b, log);
     #[cfg(debug_assertions)]
     {
         for tl in &b.proc_timelines {
@@ -566,182 +530,216 @@ fn write_back(
     changed
 }
 
-/// Enumerates every decision-graph dependency edge `(u, v)` in flat numbering (tasks
-/// first, then hops via `hop_base` prefix sums): processor order, link order, and
-/// message chains.  Called twice per flat pass (CSR count + CSR fill), so the adjacency
-/// never needs an intermediate edge list.
-fn for_each_dep(
-    b: &ScheduleBuilder<'_>,
-    hop_base: &[u32],
-    mut f: impl FnMut(u32, u32),
-) -> Result<(), RecomputeError> {
-    let n_tasks = b.graph.num_tasks() as u32;
-    let hop_node = |e: usize, k: usize| n_tasks + hop_base[e] + k as u32;
-    for tl in &b.proc_timelines {
-        for w in tl.intervals().windows(2) {
-            f(w[0].payload.index() as u32, w[1].payload.index() as u32);
-        }
-    }
-    for tl in &b.link_timelines {
-        for w in tl.intervals().windows(2) {
-            let (e0, k0) = w[0].payload;
-            let (e1, k1) = w[1].payload;
-            f(
-                hop_node(e0.index(), k0 as usize),
-                hop_node(e1.index(), k1 as usize),
-            );
-        }
-    }
-    for e in b.graph.edge_ids() {
-        let edge = b.graph.edge(e);
-        let route = &b.routes[e.index()];
-        if route.is_empty() {
-            let src_p = b.assignment[edge.src.index()].expect("flat pass: all tasks placed");
-            let dst_p = b.assignment[edge.dst.index()].expect("flat pass: all tasks placed");
-            if src_p != dst_p {
-                return Err(RecomputeError::MissingRoute(e));
-            }
-            f(edge.src.index() as u32, edge.dst.index() as u32);
-        } else {
-            f(edge.src.index() as u32, hop_node(e.index(), 0));
-            for k in 1..route.len() {
-                f(hop_node(e.index(), k - 1), hop_node(e.index(), k));
-            }
-            f(
-                hop_node(e.index(), route.len() - 1),
-                edge.dst.index() as u32,
-            );
-        }
-    }
-    Ok(())
-}
-
-/// Full-schedule Kahn relaxation on the scaffold's arenas — the big-cone sibling of the
-/// cone-local pass.  Computes exactly the [`crate::recompute`] fixpoint, but with the
-/// kernel's cost profile: CSR adjacency in reused arenas (two counting/filling sweeps,
-/// no per-node `Vec`s), durations and hop numbering in arenas, in-place window
-/// write-back (re-timing preserves interval order, so no timeline is ever rebuilt),
-/// and watermark undo records.  Zero steady-state heap allocations, like the cone path.
-///
-/// Returns `(num_nodes, dep_edges, changed)` for the caller's [`RetimeStats`].
-fn flat_relax(
+/// [`write_back`] of a node-local kernel's scratch windows (cone or delta slots).
+fn write_back_slots(
     b: &mut ScheduleBuilder<'_>,
-    sc: &mut RetimeScaffold,
-) -> Result<(usize, usize, usize), RecomputeError> {
-    let graph = b.graph;
-    let n_tasks = graph.num_tasks();
-    for t in graph.task_ids() {
-        if b.assignment[t.index()].is_none() {
-            return Err(RecomputeError::UnplacedTask(t));
-        }
-    }
-    let n_edges = graph.num_edges();
-    sc.hop_base.resize(n_edges + 1, 0);
-    let mut acc = 0u32;
-    for e in 0..n_edges {
-        sc.hop_base[e] = acc;
-        acc += b.routes[e].len() as u32;
-    }
-    sc.hop_base[n_edges] = acc;
-    debug_assert_eq!(acc as usize, sc.total_hops);
-    let num_nodes = n_tasks + sc.total_hops;
-
-    // Durations.
-    sc.dur.resize(num_nodes, 0.0);
-    for t in graph.task_ids() {
-        let p = b.assignment[t.index()].expect("checked above");
-        sc.dur[t.index()] = b.system.exec_cost(t, p);
-    }
-    for e in graph.edge_ids() {
-        let nominal = graph.edge(e).nominal_cost;
-        let base = n_tasks + sc.hop_base[e.index()] as usize;
-        for (k, hop) in b.routes[e.index()].iter().enumerate() {
-            sc.dur[base + k] = b.system.transfer_time(hop.link, nominal);
-        }
-    }
-
-    // CSR adjacency: count, prefix, fill.
-    sc.indeg.resize(num_nodes, 0);
-    sc.offsets.resize(num_nodes + 1, 0);
-    {
-        let hop_base = &sc.hop_base;
-        let indeg = &mut sc.indeg;
-        let offsets = &mut sc.offsets;
-        for_each_dep(b, hop_base, |u, v| {
-            offsets[u as usize + 1] += 1;
-            indeg[v as usize] += 1;
-        })?;
-    }
-    for i in 0..num_nodes {
-        sc.offsets[i + 1] += sc.offsets[i];
-    }
-    sc.csr.resize(sc.offsets[num_nodes] as usize, 0);
-    sc.fill.extend_from_slice(&sc.offsets);
-    {
-        let hop_base = &sc.hop_base;
-        let fill = &mut sc.fill;
-        let csr = &mut sc.csr;
-        for_each_dep(b, hop_base, |u, v| {
-            let c = &mut fill[u as usize];
-            csr[*c as usize] = v;
-            *c += 1;
-        })?;
-    }
-
-    // Level-batched Kahn relaxation from scratch (initial starts all zero).  The
-    // whole state is struct-of-arrays over the CSR mirrors (start/finish/dur/indeg
-    // indexed by flat node id); instead of a FIFO the sweep processes one *level* of
-    // ready nodes per batch from a pair of swapped frontier arenas — tight sequential
-    // loops over the arrays, no queue churn.  Relaxation order is irrelevant to the
-    // result (max-merges commute) and the processed count is the same, so cycle
-    // detection and the computed fixpoint are identical to the queue formulation.
-    sc.start.resize(num_nodes, 0.0);
-    sc.finish.resize(num_nodes, 0.0);
-    {
-        let RetimeScaffold {
-            ref mut frontier,
-            ref mut frontier_next,
-            ref mut start,
-            ref mut finish,
-            ref mut indeg,
-            ref offsets,
-            ref csr,
-            ref dur,
-            ..
-        } = *sc;
-        frontier.extend((0..num_nodes as u32).filter(|&i| indeg[i as usize] == 0));
-        let mut processed = 0usize;
-        while !frontier.is_empty() {
-            for &u in frontier.iter() {
-                let u = u as usize;
-                let f = start[u] + dur[u];
-                finish[u] = f;
-                processed += 1;
-                for &v in &csr[offsets[u] as usize..offsets[u + 1] as usize] {
-                    let v = v as usize;
-                    if f > start[v] {
-                        start[v] = f;
+    nodes: &[DirtyNode],
+    tpos: &[u32],
+    start: &[f64],
+    finish: &[f64],
+) -> usize {
+    write_back(b, |b, log| {
+        let mut changed = 0usize;
+        for i in 0..nodes.len() {
+            let pos = tpos[i] as usize;
+            match nodes[i] {
+                DirtyNode::Task(t) => {
+                    if b.task_start[t.index()] != start[i] || b.task_finish[t.index()] != finish[i]
+                    {
+                        if log {
+                            b.retime_undo_tasks.push((
+                                t,
+                                b.task_start[t.index()],
+                                b.task_finish[t.index()],
+                            ));
+                        }
+                        changed += 1;
+                        let p = b.assignment[t.index()].expect("cone tasks are placed");
+                        b.task_start[t.index()] = start[i];
+                        b.task_finish[t.index()] = finish[i];
+                        b.proc_timelines[p.index()].set_window(pos, start[i], finish[i]);
                     }
-                    indeg[v] -= 1;
-                    if indeg[v] == 0 {
-                        frontier_next.push(v as u32);
+                }
+                DirtyNode::Hop(e, k) => {
+                    let hop = b.routes[e.index()][k as usize];
+                    if hop.start != start[i] || hop.finish != finish[i] {
+                        if log {
+                            b.retime_undo_hops.push((e, k, hop.start, hop.finish));
+                        }
+                        changed += 1;
+                        let slot = b.link_slot(hop.link, hop.from);
+                        let hop = &mut b.routes[e.index()][k as usize];
+                        hop.start = start[i];
+                        hop.finish = finish[i];
+                        b.link_timelines[slot].set_window(pos, start[i], finish[i]);
                     }
                 }
             }
-            std::mem::swap(frontier, frontier_next);
-            frontier_next.clear();
         }
-        if processed != num_nodes {
-            return Err(RecomputeError::CyclicDecisions);
+        changed
+    })
+}
+
+/// The first cross-processor message without a route, in edge-id order — the edge the
+/// [`crate::recompute`] oracle reports.
+fn first_unrouted(b: &ScheduleBuilder<'_>) -> Option<EdgeId> {
+    b.graph.edge_ids().find(|&e| {
+        let edge = b.graph.edge(e);
+        b.routes[e.index()].is_empty()
+            && b.assignment[edge.src.index()] != b.assignment[edge.dst.index()]
+    })
+}
+
+/// Full-schedule Kahn relaxation on the scaffold's arenas — the big-cone sibling of the
+/// cone-local pass.  Computes exactly the [`crate::recompute`] fixpoint without
+/// building an adjacency list: every decision-graph successor is read where it lives.
+///
+/// * **Timeline order.**  One walk over the processor and link timelines records each
+///   node's next interval (`tl_next`).  The same walk fills durations, in-degrees, and
+///   each hop's chain successor (`hop_next`: the next hop, or the consumer).
+/// * **Messages.**  A task's message successors come from the scaffold's static
+///   `(edge, consumer)` table: the consumer for a local message, the first hop of a
+///   routed one.
+///
+/// Write-back is in place (re-timing preserves interval order, so no timeline is ever
+/// rebuilt) with watermark undo records.  Zero steady-state heap allocations, like the
+/// cone path.  Errors are raised before any write, in the oracle's precedence: an
+/// unplaced task, then the first unrouted cross-processor message in edge-id order
+/// (the sweep only notices one; a full scan on the error path names the first), then
+/// a cycle.
+///
+/// The stats mark the flat route (`fell_back`) and record which routing rule chose it.
+fn flat_relax(
+    b: &mut ScheduleBuilder<'_>,
+    sc: &mut RetimeScaffold,
+    seed_nodes: usize,
+    kind: RetimeKind,
+    delta_evals: usize,
+) -> Result<RetimeStats, RecomputeError> {
+    let graph = b.graph;
+    let n_tasks = graph.num_tasks();
+    if let Some(t) = graph.task_ids().find(|t| b.assignment[t.index()].is_none()) {
+        return Err(RecomputeError::UnplacedTask(t));
+    }
+    let RetimeScaffold {
+        ref hop_len,
+        total_hops,
+        ref msg_out,
+        ref msg_out_off,
+        ref mut hop_base,
+        ref mut dur,
+        ref mut indeg,
+        ref mut tl_next,
+        ref mut hop_next,
+        ref mut start,
+        ref mut finish,
+        ref mut frontier,
+        ref mut frontier_next,
+        ..
+    } = *sc;
+    let num_nodes = n_tasks + total_hops;
+    let mut acc = n_tasks as u32;
+    hop_base.extend(hop_len.iter().map(|&len| {
+        acc += len;
+        acc - len
+    }));
+    debug_assert_eq!(acc as usize, num_nodes);
+
+    // One walk over every timeline.  Message chains add one dependency edge per local
+    // message and `len + 1` per route; timeline order adds `len - 1` per timeline.
+    dur.resize(num_nodes, 0.0);
+    indeg.resize(num_nodes, 0);
+    tl_next.resize(num_nodes, NONE);
+    hop_next.resize(total_hops, NONE);
+    let mut dep_edges = graph.num_edges() + total_hops;
+    for (p, tl) in b.proc_timelines.iter().enumerate() {
+        let ivs = tl.intervals();
+        dep_edges += ivs.len().saturating_sub(1);
+        for (pos, iv) in ivs.iter().enumerate() {
+            let t = iv.payload.index();
+            dur[t] = b.system.exec_cost(iv.payload, ProcId::from_index(p));
+            // Every message adds one predecessor: its producer or its route's last hop.
+            indeg[t] = (graph.in_degree(iv.payload) + usize::from(pos > 0)) as u32;
+            tl_next[t] = ivs.get(pos + 1).map_or(NONE, |nx| nx.payload.0);
+        }
+    }
+    for (slot, tl) in b.link_timelines.iter().enumerate() {
+        let link = b.slot_link(slot);
+        let ivs = tl.intervals();
+        dep_edges += ivs.len().saturating_sub(1);
+        for (pos, iv) in ivs.iter().enumerate() {
+            let (e, k) = iv.payload;
+            let edge = graph.edge(e);
+            let id = hop_base[e.index()] + k;
+            dur[id as usize] = b.system.transfer_time(link, edge.nominal_cost);
+            indeg[id as usize] = 1 + u32::from(pos > 0);
+            tl_next[id as usize] = ivs
+                .get(pos + 1)
+                .map_or(NONE, |nx| hop_base[nx.payload.0.index()] + nx.payload.1);
+            hop_next[id as usize - n_tasks] = if k + 1 < hop_len[e.index()] {
+                id + 1
+            } else {
+                edge.dst.0
+            };
         }
     }
 
+    // Level-batched Kahn relaxation from scratch (initial starts all zero): one *level*
+    // of ready nodes per batch from a pair of swapped frontier arenas — tight loops
+    // over struct-of-arrays state, no queue churn.  Max-merges commute, so the order
+    // cannot change the fixpoint, and the processed count still detects cycles.
+    start.resize(num_nodes, 0.0);
+    finish.resize(num_nodes, 0.0);
+    frontier.extend((0..num_nodes as u32).filter(|&i| indeg[i as usize] == 0));
+    let mut processed = 0usize;
+    let mut unrouted = false;
+    'sweep: while !frontier.is_empty() {
+        for &u in frontier.iter() {
+            let u = u as usize;
+            let f = start[u] + dur[u];
+            finish[u] = f;
+            processed += 1;
+            let mut relax = |v: u32| {
+                let v = v as usize;
+                if f > start[v] {
+                    start[v] = f;
+                }
+                indeg[v] -= 1;
+                if indeg[v] == 0 {
+                    frontier_next.push(v as u32);
+                }
+            };
+            if tl_next[u] != NONE {
+                relax(tl_next[u]);
+            }
+            if u >= n_tasks {
+                relax(hop_next[u - n_tasks]);
+                continue;
+            }
+            let row = msg_out_off[u] as usize..msg_out_off[u + 1] as usize;
+            for &(e, dst) in &msg_out[row] {
+                if hop_len[e as usize] > 0 {
+                    relax(hop_base[e as usize]);
+                } else if b.assignment[dst as usize] == b.assignment[u] {
+                    relax(dst);
+                } else {
+                    unrouted = true;
+                    break 'sweep;
+                }
+            }
+        }
+        std::mem::swap(frontier, frontier_next);
+        frontier_next.clear();
+    }
+    if unrouted || processed != num_nodes {
+        return Err(first_unrouted(b).map_or(
+            RecomputeError::CyclicDecisions,
+            RecomputeError::MissingRoute,
+        ));
+    }
+
     // In-place write-back, walking each timeline so positions are implicit.
-    let log = b.in_txn();
-    let tasks_from = b.retime_undo_tasks.len();
-    let hops_from = b.retime_undo_hops.len();
-    let mut changed = 0usize;
-    {
+    let changed = write_back(b, |b, log| {
         let ScheduleBuilder {
             ref mut task_start,
             ref mut task_finish,
@@ -752,8 +750,7 @@ fn flat_relax(
             ref mut retime_undo_hops,
             ..
         } = *b;
-        let start = &sc.start;
-        let finish = &sc.finish;
+        let mut changed = 0usize;
         for tl in proc_timelines.iter_mut() {
             for pos in 0..tl.len() {
                 let t = tl.intervals()[pos].payload;
@@ -772,7 +769,7 @@ fn flat_relax(
         for tl in link_timelines.iter_mut() {
             for pos in 0..tl.len() {
                 let (e, k) = tl.intervals()[pos].payload;
-                let id = n_tasks + sc.hop_base[e.index()] as usize + k as usize;
+                let id = (hop_base[e.index()] + k) as usize;
                 let (ns, nf) = (start[id], finish[id]);
                 let hop = &mut routes[e.index()][k as usize];
                 if hop.start != ns || hop.finish != nf {
@@ -786,39 +783,8 @@ fn flat_relax(
                 }
             }
         }
-    }
-    #[cfg(debug_assertions)]
-    {
-        for tl in &b.proc_timelines {
-            debug_assert!(
-                tl.is_consistent(),
-                "processor timeline after flat write-back"
-            );
-        }
-        for tl in &b.link_timelines {
-            debug_assert!(tl.is_consistent(), "link timeline after flat write-back");
-        }
-    }
-    if log {
-        b.log_undo(UndoOp::Retime {
-            tasks_from,
-            hops_from,
-        });
-    }
-    b.clear_dirty();
-    Ok((num_nodes, sc.csr.len(), changed))
-}
-
-/// Wraps [`flat_relax`] into the pass result (`fell_back` marks the flat route;
-/// `kind` records which routing rule chose it).
-fn flat_pass(
-    b: &mut ScheduleBuilder<'_>,
-    sc: &mut RetimeScaffold,
-    seed_nodes: usize,
-    kind: RetimeKind,
-    delta_evals: usize,
-) -> Result<RetimeStats, RecomputeError> {
-    let (num_nodes, dep_edges, changed) = flat_relax(b, sc)?;
+        changed
+    });
     Ok(RetimeStats {
         seed_nodes,
         cone_nodes: num_nodes,
@@ -883,7 +849,7 @@ fn run_pass(
     if big && seed_nodes > total_nodes * FALLBACK_NUM / FALLBACK_DEN {
         // Almost everything is dirty before any kernel starts: a bulk-mutation batch.
         // Neither delta propagation nor a cone can beat the flat sweep here.
-        return flat_pass(b, sc, seed_nodes, RetimeKind::FlatSeeds, 0);
+        return flat_relax(b, sc, seed_nodes, RetimeKind::FlatSeeds, 0);
     }
 
     // ---- seed-horizon estimate: shared input of both routing models ----------------
@@ -944,7 +910,7 @@ fn run_pass(
     // ---- measured cone-vs-flat crossover on the seed-horizon estimate --------------
     if let Some(est) = observed_est {
         if sc.flat_by_model(est, total_nodes) {
-            let stats = flat_pass(b, sc, seed_nodes, RetimeKind::FlatModel, delta_evals)?;
+            let stats = flat_relax(b, sc, seed_nodes, RetimeKind::FlatModel, delta_evals)?;
             if !delta_fed {
                 sc.note_delta_observation(stats.changed_nodes, est);
             }
@@ -964,7 +930,7 @@ fn run_pass(
     let mut cursor = 0usize;
     while cursor < sc.nodes.len() {
         if sc.nodes.len() > cone_cap {
-            let stats = flat_pass(b, sc, seed_nodes, RetimeKind::FlatCap, delta_evals)?;
+            let stats = flat_relax(b, sc, seed_nodes, RetimeKind::FlatCap, delta_evals)?;
             if !delta_fed {
                 if let Some(est) = observed_est {
                     sc.note_delta_observation(stats.changed_nodes, est);
@@ -1142,7 +1108,7 @@ fn run_pass(
 
     // ---- in-place write-back of changed nodes only (shared with the delta kernel) --
     let cone_edges = dep_edges.len();
-    let changed = write_back(b, nodes, tpos, start, finish);
+    let changed = write_back_slots(b, nodes, tpos, start, finish);
     // Feed the crossover model: this completed cone pass is one (cone, estimate)
     // observation of how much of the seed horizon a real cone covers.  When the delta
     // model skipped the delta attempt, the write-back's changed count is this pass's
@@ -1377,6 +1343,93 @@ mod tests {
         assert_eq!(stats.seed_nodes, 5);
         assert_eq!(stats.cone_nodes, 5);
         assert!(b.same_schedule_state(&oracle));
+    }
+
+    // ---- flat-path error contract ---------------------------------------------------
+
+    /// An 80-task chain plus a closing edge `t0 → t79` (the highest edge id).
+    fn flat_error_graph() -> (TaskGraph, HeterogeneousSystem) {
+        let mut gb = TaskGraphBuilder::new();
+        let ids: Vec<TaskId> = (0..80)
+            .map(|i| gb.add_task(format!("t{i}"), 10.0))
+            .collect();
+        for w in ids.windows(2) {
+            gb.add_edge(w[0], w[1], 1.0).unwrap();
+        }
+        gb.add_edge(ids[0], ids[79], 1.0).unwrap();
+        let g = gb.build().unwrap();
+        let sys = HeterogeneousSystem::homogeneous(&g, ring(2).unwrap());
+        (g, sys)
+    }
+
+    /// Every task freshly placed — 80 dirty seeds over 80 nodes, so the pass is routed
+    /// flat by the seed count.  Tasks in `on_p1` go to P1 without routes, the rest to
+    /// P0; `cycle` books tasks 5 and 6 in reverse order, against their local message.
+    fn freshly_placed<'a>(
+        g: &'a TaskGraph,
+        sys: &'a HeterogeneousSystem,
+        on_p1: &[u32],
+        cycle: bool,
+    ) -> ScheduleBuilder<'a> {
+        let mut b = ScheduleBuilder::new(g, sys).unwrap();
+        for i in 0..80u32 {
+            let p = ProcId(u32::from(on_p1.contains(&i)));
+            let slot = match i {
+                5 if cycle => 6,
+                6 if cycle => 5,
+                _ => i,
+            };
+            b.place_task(TaskId(i), p, 3.0 + 12.0 * f64::from(slot));
+        }
+        b
+    }
+
+    /// The failing flat pass reports exactly the oracle's error and leaves the builder
+    /// (schedule state and dirty list) as it was.
+    fn assert_flat_error(mut b: ScheduleBuilder<'_>, expected: RecomputeError) {
+        let snapshot = b.clone();
+        let mut oracle = b.clone();
+        let got = b.recompute_times_incremental();
+        assert_eq!(got, Err(expected));
+        assert_eq!(got.map(|_| ()), oracle.recompute_times());
+        assert!(b.same_schedule_state(&snapshot));
+        assert_eq!(b.dirty, snapshot.dirty);
+    }
+
+    #[test]
+    fn flat_error_fixture_is_routed_flat() {
+        let (g, sys) = flat_error_graph();
+        let mut b = freshly_placed(&g, &sys, &[], false);
+        let mut oracle = b.clone();
+        let stats = b.recompute_times_incremental().unwrap();
+        oracle.recompute_times().unwrap();
+        assert_eq!(stats.kind, RetimeKind::FlatSeeds);
+        // 79 processor-order edges plus one per local message.
+        assert_eq!(stats.cone_edges, 79 + 80);
+        assert!(b.same_schedule_state(&oracle));
+    }
+
+    #[test]
+    fn flat_pass_reports_the_first_unrouted_edge() {
+        // Unrouted edges 39, 40, 78 and 79; the sweep meets edge 79 first, at `t0`.
+        let (g, sys) = flat_error_graph();
+        let b = freshly_placed(&g, &sys, &[40, 79], false);
+        assert_flat_error(b, RecomputeError::MissingRoute(EdgeId(39)));
+    }
+
+    #[test]
+    fn flat_pass_detects_cycles_without_mutating() {
+        let (g, sys) = flat_error_graph();
+        let b = freshly_placed(&g, &sys, &[], true);
+        assert_flat_error(b, RecomputeError::CyclicDecisions);
+    }
+
+    #[test]
+    fn flat_pass_prefers_the_missing_route_over_a_cycle() {
+        // The cycle at tasks 5/6 stalls the sweep before it reaches unrouted edge 39.
+        let (g, sys) = flat_error_graph();
+        let b = freshly_placed(&g, &sys, &[40], true);
+        assert_flat_error(b, RecomputeError::MissingRoute(EdgeId(39)));
     }
 
     #[test]

@@ -53,8 +53,8 @@ where
 /// The best-incumbent cell shared by racing portfolio entries.
 ///
 /// Workers [`offer`](IncumbentCell::offer) every incumbent improvement of their own
-/// solve; the cell keeps the global minimum and reports whether the offer improved
-/// it, which is what gates forwarding the improvement to the caller's observer.
+/// solve; the cell keeps the global minimum and forwards only offers that improve it
+/// to the caller's observer, under its lock so the forwarded stream stays ordered.
 #[derive(Debug, Default)]
 pub struct IncumbentCell {
     best: Mutex<Option<(usize, f64)>>,
@@ -67,13 +67,17 @@ impl IncumbentCell {
     }
 
     /// Offers `length` from portfolio entry `config`.  Returns `true` when it
-    /// strictly improved the global best (the first offer always does).
-    pub fn offer(&self, config: usize, length: f64) -> bool {
+    /// strictly improved the global best (the first offer always does), after running
+    /// `publish` while still holding the cell's lock: improvements are published in
+    /// the order the cell accepted them, so a later, better offer never overtakes an
+    /// earlier one.
+    pub fn offer(&self, config: usize, length: f64, publish: impl FnOnce()) -> bool {
         let mut best = self.best.lock();
         match *best {
             Some((_, incumbent)) if length >= incumbent => false,
             _ => {
                 *best = Some((config, length));
+                publish();
                 true
             }
         }
@@ -138,10 +142,13 @@ mod tests {
     fn incumbent_cell_keeps_the_strict_minimum() {
         let cell = IncumbentCell::new();
         assert_eq!(cell.best(), None);
-        assert!(cell.offer(2, 100.0));
-        assert!(!cell.offer(0, 100.0)); // ties do not improve
-        assert!(cell.offer(1, 90.0));
-        assert!(!cell.offer(2, 95.0));
+        let mut published = Vec::new();
+        assert!(cell.offer(2, 100.0, || published.push(100.0)));
+        assert!(!cell.offer(0, 100.0, || published.push(100.0))); // ties do not improve
+        assert!(cell.offer(1, 90.0, || published.push(90.0)));
+        assert!(!cell.offer(2, 95.0, || published.push(95.0)));
         assert_eq!(cell.best(), Some((1, 90.0)));
+        // Only improvements are published.
+        assert_eq!(published, [100.0, 90.0]);
     }
 }

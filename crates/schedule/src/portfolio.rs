@@ -240,17 +240,19 @@ impl Solver for Portfolio {
                 workers,
                 move |i| {
                     let mut forward = |event: &SolveEvent| -> ControlFlow<()> {
-                        let publish = match event {
-                            // Only globally improving incumbents reach the caller,
-                            // so the merged stream stays monotone.
-                            SolveEvent::IncumbentImproved { length } => cell.offer(i, *length),
-                            _ => true,
-                        };
-                        if publish {
+                        let publish = || {
                             let _ = tx.send(Msg::Event {
                                 config: i,
                                 event: *event,
                             });
+                        };
+                        match event {
+                            // Only globally improving incumbents reach the caller, sent
+                            // under the cell's lock so the merged stream stays monotone.
+                            SolveEvent::IncumbentImproved { length } => {
+                                cell.offer(i, *length, publish);
+                            }
+                            _ => publish(),
                         }
                         ControlFlow::Continue(())
                     };

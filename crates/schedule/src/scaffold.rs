@@ -1,13 +1,9 @@
 //! Persistent decision-graph scaffolding and scratch arenas for the incremental
 //! re-timing pass (see DESIGN.md §7.5).
 //!
-//! PR 2's dirty-cone kernel relaxed only the cone, but still paid O(V + E) *before* the
-//! cone even started: every call to [`crate::incremental`] reallocated and refilled the
-//! flat hop numbering (`hop_base` prefix sums), the task/hop slot maps, and the per-pass
-//! relaxation vectors.  At 1000+ tasks this setup dwarfed the cone itself and the
-//! incremental-vs-full speedup decayed from ~1.7× to ~1.25× (`BENCH_scaling.json`,
-//! PR 2).  This module makes one migration cost proportional to its *cone*, not to the
-//! *problem*:
+//! Every piece of per-pass setup that would otherwise cost O(V + E) before the cone
+//! even starts lives here, so one migration costs in proportion to its *cone*, not to
+//! the *problem*:
 //!
 //! * **Persistent scaffolding** — the per-edge route lengths ([`RetimeScaffold::hop_len`])
 //!   and their sum ([`RetimeScaffold::total_hops`]) are maintained incrementally by the
@@ -19,21 +15,25 @@
 //!   `(stamp, slot)` pair packed in a `u64`; a pass begins by bumping a `u32` epoch
 //!   instead of clearing (or worse, reallocating) the maps.  Lookup stays a dense array
 //!   index — no hashing, no zero-fill.
-//! * **Scratch arenas** — cone nodes, timeline positions, dependency edges, the CSR, and
-//!   the Kahn queue are `clear()`-reused vectors whose capacity survives across all
-//!   migrations of a run.  After the first few migrations reach the high-water mark,
+//! * **Static message table** — every task's `(edge, consumer)` out-edges in one flat
+//!   table built with the scaffold, where the flat sweep reads message successors.
+//! * **Scratch arenas** — cone nodes, timeline positions, dependency edges, the cone's
+//!   CSR and Kahn queue, and the flat sweep's durations and successors are
+//!   `clear()`-reused vectors whose capacity survives across all migrations of a run.  After the first few migrations reach the high-water mark,
 //!   [`crate::builder::ScheduleBuilder::recompute_times_from`] performs **zero heap
 //!   allocations** (asserted by a counting-allocator test in `tests/zero_alloc.rs` and
 //!   tracked by [`RetimeScaffold::realloc_events`]).
 //!
 //! The scaffold is owned by the builder but holds no schedule semantics of its own: the
-//! epoch discipline makes every pass start from a logically empty cone, and the
-//! persistent parts are pure mirrors of `routes[e].len()`.  Rollback therefore only has
+//! epoch discipline makes every pass start from a logically empty cone, the message
+//! table mirrors the immutable graph, and the persistent parts are pure mirrors of
+//! `routes[e].len()`.  Rollback therefore only has
 //! to keep the mirrors honest (via the same `set_route_len` hook the forward mutations
 //! use); the arenas need no undo at all.
 
 use crate::schedule::MessageHop;
 use crate::txn::DirtyNode;
+use bsa_taskgraph::TaskGraph;
 use std::collections::VecDeque;
 
 /// Sentinel for "not in the cone" in slot lookups.
@@ -53,6 +53,13 @@ pub(crate) struct RetimeScaffold {
     pub(crate) hop_len: Vec<u32>,
     /// Sum of `hop_len` — the total number of booked hops, maintained in O(1).
     pub(crate) total_hops: usize,
+
+    // ---- static, built once per problem ------------------------------------------
+    /// Every task's message out-edges as one flat `(edge, consumer)` table, rows
+    /// delimited by `msg_out_off` (`num_tasks + 1` entries).
+    pub(crate) msg_out: Vec<(u32, u32)>,
+    /// Row offsets of `msg_out`.
+    pub(crate) msg_out_off: Vec<u32>,
 
     // ---- epoch-stamped slot maps (never cleared, invalidated by epoch bump) ------
     /// Current pass epoch; a slot entry is valid iff its stamp equals this.
@@ -75,15 +82,15 @@ pub(crate) struct RetimeScaffold {
     pub(crate) start: Vec<f64>,
     /// Finish time per cone node.
     pub(crate) finish: Vec<f64>,
-    /// Kahn in-degrees per cone node.
+    /// Kahn in-degrees per cone node (per decision-graph node in the flat sweep).
     pub(crate) indeg: Vec<u32>,
-    /// CSR row offsets (`m + 1` entries).
+    /// Cone CSR row offsets (`m + 1` entries).
     pub(crate) offsets: Vec<u32>,
-    /// CSR fill cursors (scratch copy of `offsets`).
+    /// Cone CSR fill cursors (scratch copy of `offsets`).
     pub(crate) fill: Vec<u32>,
-    /// CSR adjacency (one entry per dependency edge).
+    /// Cone CSR adjacency (one entry per cone dependency edge).
     pub(crate) csr: Vec<u32>,
-    /// Kahn ready queue.
+    /// Cone Kahn ready queue.
     pub(crate) queue: VecDeque<u32>,
     /// Delta-kernel worklist membership per cone slot: a node already queued for
     /// re-evaluation is not queued again (it will observe the newer predecessor value
@@ -104,11 +111,17 @@ pub(crate) struct RetimeScaffold {
     pub(crate) frontier: Vec<u32>,
     /// Next level of the batched frontier (swapped with `frontier` per sweep).
     pub(crate) frontier_next: Vec<u32>,
-    /// Flat-relaxation hop numbering: prefix sums of route lengths (`num_edges + 1`
-    /// entries), refilled per flat pass (the flat pass is O(V + E) anyway).
+    /// Flat-sweep id of each edge's first hop (tasks come first, then every route's
+    /// hops in order), summed per flat pass from the `hop_len` mirror.
     pub(crate) hop_base: Vec<u32>,
-    /// Flat-relaxation durations per node.
+    /// Flat-sweep duration per node.
     pub(crate) dur: Vec<f64>,
+    /// Flat-sweep timeline successor per node: the next interval on its processor
+    /// or link timeline, or [`NONE`].
+    pub(crate) tl_next: Vec<u32>,
+    /// Flat-sweep chain successor per hop (indexed by flat id − `num_tasks`): the
+    /// next hop of its route, or the message's consumer.
+    pub(crate) hop_next: Vec<u32>,
 
     // ---- measured cone-vs-flat crossover model -----------------------------------
     /// Accumulated cone sizes of completed cone passes (numerator of the observed
@@ -135,16 +148,28 @@ pub(crate) struct RetimeScaffold {
 }
 
 impl RetimeScaffold {
-    /// Scaffold for a builder over `num_tasks` tasks and `num_edges` edges.  The only
-    /// allocations of the scaffold's lifetime that scale with the problem happen here
-    /// (and on first growth of each arena) — never per pass in steady state.
-    pub(crate) fn for_problem(num_tasks: usize, num_edges: usize) -> Self {
+    /// Scaffold for a builder over `graph`.  The only allocations of the scaffold's
+    /// lifetime that scale with the problem happen here (and on first growth of each
+    /// arena) — never per pass in steady state.
+    pub(crate) fn new(graph: &TaskGraph) -> Self {
+        let mut msg_out = Vec::with_capacity(graph.num_edges());
+        let mut msg_out_off = Vec::with_capacity(graph.num_tasks() + 1);
+        msg_out_off.push(0);
+        for t in graph.task_ids() {
+            msg_out.extend(
+                graph
+                    .out_edges(t)
+                    .iter()
+                    .map(|&e| (e.0, graph.edge(e).dst.0)),
+            );
+            msg_out_off.push(msg_out.len() as u32);
+        }
         RetimeScaffold {
-            hop_len: vec![0; num_edges],
-            total_hops: 0,
-            epoch: 0,
-            task_mark: vec![0; num_tasks],
-            hop_mark: vec![Vec::new(); num_edges],
+            hop_len: vec![0; graph.num_edges()],
+            msg_out,
+            msg_out_off,
+            task_mark: vec![0; graph.num_tasks()],
+            hop_mark: vec![Vec::new(); graph.num_edges()],
             ..Self::default()
         }
     }
@@ -195,6 +220,8 @@ impl RetimeScaffold {
         self.frontier_next.clear();
         self.hop_base.clear();
         self.dur.clear();
+        self.tl_next.clear();
+        self.hop_next.clear();
     }
 
     /// Ends a pass: records whether any arena grew past the previous high-water mark.
@@ -215,7 +242,9 @@ impl RetimeScaffold {
             + self.frontier.capacity()
             + self.frontier_next.capacity()
             + self.hop_base.capacity()
-            + self.dur.capacity() * 2;
+            + self.dur.capacity() * 2
+            + self.tl_next.capacity()
+            + self.hop_next.capacity();
         if cap > self.capacity_watermark {
             if self.capacity_watermark != 0 {
                 self.realloc_events += 1;
@@ -382,11 +411,31 @@ pub(crate) fn slot_lookup(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bsa_taskgraph::{EdgeId, TaskId};
+    use bsa_taskgraph::{EdgeId, TaskGraphBuilder, TaskId};
+
+    /// A chain of `n` tasks (`n - 1` edges).
+    fn chain(n: usize) -> TaskGraph {
+        let mut gb = TaskGraphBuilder::new();
+        let mut prev = gb.add_task("t0", 1.0);
+        for i in 1..n {
+            let t = gb.add_task(format!("t{i}"), 1.0);
+            gb.add_edge(prev, t, 1.0).unwrap();
+            prev = t;
+        }
+        gb.build().unwrap()
+    }
+
+    #[test]
+    fn message_tables_mirror_the_graph() {
+        let g = chain(3);
+        let sc = RetimeScaffold::new(&g);
+        assert_eq!(sc.msg_out, vec![(0, 1), (1, 2)]);
+        assert_eq!(sc.msg_out_off, vec![0, 1, 2, 2]);
+    }
 
     #[test]
     fn epoch_bump_invalidates_all_slots() {
-        let mut sc = RetimeScaffold::for_problem(3, 2);
+        let mut sc = RetimeScaffold::new(&chain(3));
         sc.set_route_len(0, 2);
         sc.begin_pass();
         let (s0, fresh) = sc.claim_slot(DirtyNode::Task(TaskId(1)));
@@ -409,7 +458,7 @@ mod tests {
 
     #[test]
     fn route_len_mirror_tracks_total_hops_and_capacity() {
-        let mut sc = RetimeScaffold::for_problem(2, 3);
+        let mut sc = RetimeScaffold::new(&chain(4));
         sc.set_route_len(0, 3);
         sc.set_route_len(2, 1);
         assert_eq!(sc.total_hops, 4);
@@ -422,7 +471,7 @@ mod tests {
 
     #[test]
     fn arena_growth_is_counted_once_per_pass() {
-        let mut sc = RetimeScaffold::for_problem(4, 0);
+        let mut sc = RetimeScaffold::new(&chain(4));
         sc.begin_pass();
         for i in 0..4 {
             sc.claim_slot(DirtyNode::Task(TaskId(i)));

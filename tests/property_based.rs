@@ -404,7 +404,9 @@ proptest! {
     /// sweeps — the committed timings must be byte-identical to the full-relaxation
     /// oracle.  `frac` sweeps the dirty-seed count from a few nodes to the whole
     /// schedule, straddling the delta eval budget, the seed-saturation threshold and
-    /// the crossover model, so each routing decision is exercised across cases.
+    /// the crossover model, so each routing decision is exercised across cases.  Both
+    /// link modes run — full duplex gives every link one timeline per direction — on
+    /// heterogeneous links, so a hop timed on the wrong link shows.
     #[test]
     fn every_retime_kernel_is_byte_identical_to_the_oracle(
         n in 64usize..110,
@@ -413,49 +415,62 @@ proptest! {
         frac in 0.02f64..1.0,
     ) {
         let graph = build_graph(n, gran, seed);
-        let mut rng = StdRng::seed_from_u64(seed ^ 0xD1FF);
-        let topology = TopologyKind::Ring.build(4, &mut rng).unwrap();
-        let system = HeterogeneousSystem::generate(
-            &graph,
-            topology,
-            HeterogeneityRange::DEFAULT,
-            HeterogeneityRange::homogeneous(),
-            &mut rng,
-        );
-        let table = system.comm_model(RoutePolicy::ShortestHop);
-        let mut builder = build_routed_schedule(&graph, &system, &table, seed);
-        builder.recompute_times().unwrap();
+        for mode in [LinkMode::HalfDuplex, LinkMode::FullDuplex] {
+            let mut rng = StdRng::seed_from_u64(seed ^ 0xD1FF);
+            let topology = TopologyKind::Ring.build(4, &mut rng).unwrap().with_link_mode(mode);
+            let system = HeterogeneousSystem::generate(
+                &graph,
+                topology,
+                HeterogeneityRange::DEFAULT,
+                HeterogeneityRange::DEFAULT,
+                &mut rng,
+            );
+            let table = system.comm_model(RoutePolicy::ShortestHop);
+            let mut builder = build_routed_schedule(&graph, &system, &table, seed);
+            builder.recompute_times().unwrap();
 
-        // Dirty ~frac·n tasks by re-placing each at the front-most free slot of its
-        // own processor — real time changes, not no-op bounces.
-        let bounces = ((n as f64 * frac).ceil() as usize).max(1);
-        for _ in 0..bounces {
-            let t = TaskId(rng.gen_range(0..graph.num_tasks()) as u32);
-            let p = builder.proc_of(t).unwrap();
-            builder.unplace_task(t);
-            let exec = builder.exec_cost(t, p);
-            let start = builder.earliest_proc_slot(p, 0.0, exec);
-            builder.place_task(t, p, start);
-        }
-        let mut oracle = builder.clone();
-        let inc = builder.recompute_times_incremental();
-        let orc = oracle.recompute_times();
-        match (&inc, &orc) {
-            (Ok(stats), Ok(())) => prop_assert!(
-                builder.same_schedule_state(&oracle),
-                "kernel {:?} diverged from the oracle ({} seeds)",
-                stats.kind,
-                stats.seed_nodes
-            ),
-            (Err(_), Err(_)) => {
-                // A front-moved task can order a processor predecessor after itself;
-                // both kernels must reject the cycle and leave the builder untouched.
-                prop_assert!(
-                    builder.same_schedule_state(&oracle),
-                    "error paths must leave both builders in the same (pre-pass) state"
-                );
+            // Dirty ~frac·n tasks by re-placing each at the front-most free slot of its
+            // own processor — real time changes, not no-op bounces.  A move that orders
+            // a task before one of its own ancestors is rolled back, so the kernels'
+            // results get compared; every fourth case keeps such moves, so both kernels
+            // must also reject the resulting cycle alike.
+            let keep_cycles = seed % 4 == 0;
+            let bounces = ((n as f64 * frac).ceil() as usize).max(1);
+            for _ in 0..bounces {
+                let t = TaskId(rng.gen_range(0..graph.num_tasks()) as u32);
+                let p = builder.proc_of(t).unwrap();
+                let txn = builder.begin_txn();
+                builder.unplace_task(t);
+                let exec = builder.exec_cost(t, p);
+                let start = builder.earliest_proc_slot(p, 0.0, exec);
+                builder.place_task(t, p, start);
+                if keep_cycles || builder.clone().recompute_times().is_ok() {
+                    builder.commit(txn);
+                } else {
+                    builder.rollback(txn);
+                }
             }
-            _ => prop_assert!(false, "kernel disagreement: {inc:?} vs {orc:?}"),
+            let mut oracle = builder.clone();
+            let inc = builder.recompute_times_incremental();
+            let orc = oracle.recompute_times();
+            match (&inc, &orc) {
+                (Ok(stats), Ok(())) => prop_assert!(
+                    builder.same_schedule_state(&oracle),
+                    "kernel {:?} diverged from the oracle ({} seeds)",
+                    stats.kind,
+                    stats.seed_nodes
+                ),
+                (Err(a), Err(b)) => {
+                    // A front-moved task can order a processor predecessor after itself;
+                    // both kernels must reject the cycle and leave the builder untouched.
+                    prop_assert_eq!(a, b);
+                    prop_assert!(
+                        builder.same_schedule_state(&oracle),
+                        "error paths must leave both builders in the same (pre-pass) state"
+                    );
+                }
+                _ => prop_assert!(false, "kernel disagreement: {inc:?} vs {orc:?}"),
+            }
         }
     }
 
