@@ -29,6 +29,7 @@ use bsa_network::{CommModel, HeterogeneousSystem, ProcId, RoutePolicy};
 use bsa_schedule::solver::{
     BudgetMeter, Problem, Progress, Solution, SolveError, SolveEvent, SolveOptions, Solver,
 };
+use bsa_schedule::LinkOverlay;
 use bsa_taskgraph::{GraphLevels, TaskId};
 
 /// The DLS scheduler.
@@ -76,6 +77,7 @@ impl Solver for Dls {
         let system = problem.system();
         let mut builder = problem.builder();
         let table = self.comm_model(system, options);
+        let mut overlay = LinkOverlay::new();
         let n = graph.num_tasks();
 
         // Static levels over median execution costs (communication ignored).
@@ -103,7 +105,7 @@ impl Solver for Dls {
             for &t in &ready {
                 let median = system.exec_costs.median_cost(t);
                 for p in system.topology.proc_ids() {
-                    let da = data_available_time(&mut builder, &table, t, p);
+                    let da = data_available_time(&builder, &mut overlay, &table, t, p);
                     let tf = builder.proc_timeline(p).last_finish();
                     let delta = median - system.exec_cost(t, p);
                     let dl = static_level[t.index()] - da.max(tf) + delta;
@@ -131,7 +133,8 @@ impl Solver for Dls {
                     .proc_of(e.src)
                     .expect("predecessors scheduled first");
                 let ready = builder.finish_of(e.src);
-                let (hops, arrival) = route_message(&mut builder, &table, eid, sp, p, ready);
+                let (hops, arrival) =
+                    route_message(&builder, &mut overlay, &table, eid, sp, p, ready);
                 commit_route(&mut builder, eid, hops);
                 da = da.max(arrival);
             }

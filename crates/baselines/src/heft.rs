@@ -20,6 +20,7 @@ use bsa_network::{HeterogeneousSystem, ProcId};
 use bsa_schedule::solver::{
     BudgetMeter, Problem, Progress, Solution, SolveError, SolveEvent, SolveOptions, Solver,
 };
+use bsa_schedule::LinkOverlay;
 use bsa_taskgraph::{TaskGraph, TaskId, TopologicalOrder};
 
 /// Upward rank of every task: `rank(t) = mean_cost(t) + max over successors of
@@ -81,6 +82,7 @@ impl Solver for Heft {
         let system = problem.system();
         let mut builder = problem.builder();
         let table = options.comm_model(system);
+        let mut overlay = LinkOverlay::new();
         let order = priority_order(graph, system);
 
         // HEFT's rank order is a valid topological order (rank strictly decreases along
@@ -95,7 +97,8 @@ impl Solver for Heft {
                     let e = graph.edge(eid);
                     let sp = builder.proc_of(e.src).expect("preds scheduled first");
                     let ready = builder.finish_of(e.src);
-                    let (_, arrival) = route_message(&mut builder, &table, eid, sp, p, ready);
+                    let (_, arrival) =
+                        route_message(&builder, &mut overlay, &table, eid, sp, p, ready);
                     da = da.max(arrival);
                 }
                 let exec = builder.exec_cost(t, p);
@@ -113,7 +116,8 @@ impl Solver for Heft {
                 let e = graph.edge(eid);
                 let sp = builder.proc_of(e.src).expect("preds scheduled first");
                 let ready = builder.finish_of(e.src);
-                let (hops, arrival) = route_message(&mut builder, &table, eid, sp, p, ready);
+                let (hops, arrival) =
+                    route_message(&builder, &mut overlay, &table, eid, sp, p, ready);
                 commit_route(&mut builder, eid, hops);
                 da = da.max(arrival);
             }
@@ -235,6 +239,7 @@ impl Solver for ContentionObliviousHeft {
         let system = problem.system();
         let (assignment, ideal_start) = self.decide(graph, system);
         let table = options.comm_model(system);
+        let mut overlay = LinkOverlay::new();
         let mut builder = problem.builder();
 
         // Re-simulate under the contention model: keep the assignment and the per-processor
@@ -283,7 +288,8 @@ impl Solver for ContentionObliviousHeft {
                 let e = graph.edge(eid);
                 let sp = assignment[e.src.index()];
                 let ready = builder.finish_of(e.src);
-                let (hops, arrival) = route_message(&mut builder, &table, eid, sp, p, ready);
+                let (hops, arrival) =
+                    route_message(&builder, &mut overlay, &table, eid, sp, p, ready);
                 commit_route(&mut builder, eid, hops);
                 da = da.max(arrival);
             }

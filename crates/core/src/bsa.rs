@@ -18,19 +18,20 @@
 //! ([`RoutePolicy::MinTransferTime`] in [`SolveOptions::route_policy`]) the loop
 //! additionally consults the same [`CommModel`] handle the baselines route over: every
 //! re-routed message also evaluates a full reroute along the policy's route (booked
-//! speculatively through [`bsa_schedule::router`]) and takes it when it arrives
-//! earlier — on heavily heterogeneous links the hop-by-hop extension can pile onto a
-//! slow link that a slightly longer route avoids entirely.
+//! through [`bsa_schedule::router`]) and takes it when it arrives earlier — on heavily
+//! heterogeneous links the hop-by-hop extension can pile onto a slow link that a
+//! slightly longer route avoids entirely.
 //!
-//! Both the neighbour evaluation and the migration itself run on the transactional
-//! kernel of `bsa_schedule` (see DESIGN.md §7): a neighbour is evaluated by *actually
-//! performing* the tentative message bookings and placement inside
-//! [`ScheduleBuilder::speculate`] (so the estimate sees real link contention) and
-//! rolling them back; an accepted migration is committed, a migration whose re-routing
-//! produces un-timeable (cyclic) ordering decisions is rolled back through the same
-//! undo log.  No whole-builder snapshot is ever cloned.  After each accepted migration
-//! only the *dirty cone* — the migrated task, its re-routed messages, and everything
-//! downstream — is re-timed ([`ScheduleBuilder::recompute_times_incremental`]);
+//! Neighbour evaluation is read-only, like the paper's `ComputeMFT`: a
+//! [`NeighborPricer`] plans the task's incoming messages against a shared borrow of the
+//! [`ScheduleBuilder`], booking them in a [`LinkOverlay`] so each message sees the
+//! contention of the ones planned before it, and never mutates the schedule.  An
+//! accepted migration applies the same plan on the transactional kernel of
+//! `bsa_schedule` (see DESIGN.md §7); a migration whose re-routing produces un-timeable
+//! (cyclic) ordering decisions is rolled back through the undo log.  No whole-builder
+//! snapshot is ever cloned.  After each accepted migration only the *dirty cone* — the
+//! migrated task, its re-routed messages, and everything downstream — is re-timed
+//! ([`ScheduleBuilder::recompute_times_incremental`]);
 //! [`crate::config::RetimingMode::Full`] switches back to the full-relaxation oracle,
 //! which produces bit-identical times at a much higher cost per migration.
 
@@ -40,25 +41,25 @@ use crate::pivot::select_pivot;
 use crate::serialization::serialize;
 use crate::trace::{BsaTrace, MigrationRecord, RetimeTotals};
 use bsa_network::{CommModel, HeterogeneousSystem, ProcId, RoutePolicy};
-use bsa_schedule::router::{commit_route, route_message};
+use bsa_schedule::router::{book_route, commit_route, route_message};
 use bsa_schedule::schedule::MessageHop;
 use bsa_schedule::solver::{
     BudgetMeter, IncumbentRecord, NoProgress, Problem, Progress, Provenance, Solution, SolveError,
     SolveEvent, SolveOptions, SolveTrace, Solver, StopReason, ThreadStats,
 };
-use bsa_schedule::{Schedule, ScheduleBuilder, ScheduleError, ScheduleMetrics};
+use bsa_schedule::{LinkOverlay, Schedule, ScheduleBuilder, ScheduleError, ScheduleMetrics};
 use bsa_taskgraph::{EdgeId, TaskGraph, TaskId};
 
 const EPS: f64 = 1e-9;
 
 /// Reusable buffers of the migration loop.  One instance lives for a whole run and is
-/// shared by every neighbour speculation and accepted migration, mirroring the
-/// scheduling kernel's scratch arenas (DESIGN.md §7.5): the loop's own per-candidate
-/// `Vec`s would otherwise be the last per-migration allocations left on the hot path.
+/// shared by every neighbour pricing and accepted migration, mirroring the scheduling
+/// kernel's scratch arenas (DESIGN.md §7.5): the loop's own per-candidate `Vec`s would
+/// otherwise be the last per-migration allocations left on the hot path.
 #[derive(Default)]
 struct MigrateScratch {
-    /// Remote incoming messages of the migrating task, sorted by readiness.
-    remote: Vec<(EdgeId, f64)>,
+    /// The incoming-message plan shared by pricing and commit.
+    pricer: NeighborPricer,
     /// Snapshot of the pivot's tasks at phase start.
     tasks: Vec<TaskId>,
     /// Finish time of every task at phase start (see `compare_against_phase_start`).
@@ -310,12 +311,11 @@ impl Bsa {
                     match crew.as_deref_mut() {
                         Some(c) => c.evaluate(
                             builder,
-                            graph,
                             t,
                             pivot,
                             cfg,
                             comm,
-                            &mut scratch.remote,
+                            &mut scratch.pricer,
                             neighbors.len(),
                             &mut scratch.cand_ft,
                             thread0,
@@ -323,16 +323,7 @@ impl Bsa {
                         None => {
                             scratch.cand_ft.clear();
                             for &(py, _link) in neighbors {
-                                let ft = estimate_finish_on_neighbor(
-                                    builder,
-                                    graph,
-                                    t,
-                                    pivot,
-                                    py,
-                                    cfg,
-                                    comm,
-                                    &mut scratch.remote,
-                                );
+                                let ft = scratch.pricer.estimate(builder, t, pivot, py, cfg, comm);
                                 thread0.evals += 1;
                                 scratch.cand_ft.push(ft);
                             }
@@ -377,17 +368,7 @@ impl Bsa {
                     // byte-exact rollback leaves this builder in the state the mirrors
                     // already hold.
                     let txn = builder.begin_txn();
-                    migrate(
-                        builder,
-                        graph,
-                        t,
-                        pivot,
-                        py,
-                        cfg,
-                        true,
-                        comm,
-                        &mut scratch.remote,
-                    );
+                    migrate(builder, graph, t, pivot, py, cfg, comm, &mut scratch.pricer);
                     let retimed = match cfg.retiming {
                         RetimingMode::Incremental => {
                             builder.recompute_times_incremental().map(Some)
@@ -496,38 +477,234 @@ impl Solver for Bsa {
     }
 }
 
-/// Finish time of `t` if it migrated from `pivot` to the neighbour `py` (the paper's
-/// `ComputeMFT`/`ComputeFT`), obtained by *performing* the migration's incoming-message
-/// bookings and placement inside a speculation that is always rolled back.
-///
-/// Because the speculative bookings go through the same [`migrate`] code that a real
-/// migration uses, the returned finish time accounts exactly for link contention among
-/// the task's own incoming messages (the previous hand-rolled estimator was optimistic
-/// when several messages competed for the joining link).  Outgoing messages are skipped:
-/// they do not influence `t`'s own finish time.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn estimate_finish_on_neighbor(
-    builder: &mut ScheduleBuilder<'_>,
-    graph: &TaskGraph,
-    t: TaskId,
-    pivot: ProcId,
-    py: ProcId,
-    cfg: &BsaConfig,
-    comm: Option<&CommModel>,
-    remote: &mut Vec<(EdgeId, f64)>,
-) -> f64 {
-    builder.speculate(|b| {
-        migrate(b, graph, t, pivot, py, cfg, false, comm, remote);
-        b.finish_of(t)
-    })
+/// How one remote incoming message of a migrating task reaches the target processor.
+#[derive(Debug, Clone, Copy)]
+enum Inbound {
+    /// Option A: through the pivot and over the joining link.  `extend` appends the
+    /// hop to the route that already ends at the pivot; otherwise (producer on the
+    /// pivot) the hop is a fresh single-hop route.
+    ViaPivot { hop: MessageHop, extend: bool },
+    /// Option B: the direct link from the producer's processor, booked from scratch.
+    Direct(MessageHop),
+    /// Option C: the communication model's route, hops `lo..hi` of the plan's
+    /// `policy_hops`.
+    Policy { lo: usize, hi: usize },
 }
 
-/// Moves `t` from `pivot` to the neighbouring processor `py`, re-routing its incoming and
-/// (when `route_outgoing` is set) outgoing messages across the joining link and booking
-/// contention-free slots for them.
+/// Read-only pricing of BSA migrations (the paper's `ComputeMFT`), with the reusable
+/// buffers of one incoming-message plan.
 ///
-/// Runs entirely on the builder's transactional mutation API, so a caller-held [`Txn`]
-/// (or [`ScheduleBuilder::speculate`]) can undo the whole move.
+/// A plan decides, for every incoming message of a migrating task, how it reaches the
+/// target processor `py`, booking each choice in a [`LinkOverlay`] so later messages
+/// see the contention of earlier ones.  Messages from producers on `py` become local:
+/// their routes are freed before anything is booked.  The remote ones are planned
+/// earliest-ready first (a stable sort by producer finish) for tighter packing on the
+/// shared link, each taking the earliest-arriving of (ties go to A, then B)
+///
+/// * **A** — route (or keep routing) through the pivot and add the hop over the
+///   joining link;
+/// * **B** — for producers that already migrated off the pivot, the direct link from
+///   the producer's processor to `py`, if there is one (the paper's "optimized routes"
+///   property of incremental message scheduling).  Its query still sees the message's
+///   old route booked;
+/// * **C** — under a cost-aware `comm` model, a full reroute along the model's route
+///   from the producer to `py` (skipped when that route is the one-hop direct link B
+///   already prices).  Its query sees the old route freed.
+///
+/// Pricing stops at the plan; an accepted migration applies the same plan to the
+/// builder.  The buffers keep their capacity, so steady-state pricing never touches
+/// the heap.
+#[derive(Debug, Default)]
+pub struct NeighborPricer {
+    /// Remote incoming messages of the migrating task, sorted by producer finish.
+    remote: Vec<(EdgeId, f64)>,
+    /// The chosen option per entry of `remote`.
+    inbound: Vec<Inbound>,
+    /// Hops of every option-C route of the plan.
+    policy_hops: Vec<MessageHop>,
+    /// Tentative link bookings of the plan.
+    overlay: LinkOverlay,
+}
+
+impl NeighborPricer {
+    /// An empty pricer.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Finish time of `t` if it migrated from `pivot` to the neighbour `py` (the
+    /// paper's `ComputeMFT`/`ComputeFT`), computed without mutating the builder.
+    ///
+    /// The estimate books the task's incoming messages in the pricer's overlay, one
+    /// after the other, exactly as the plan of a real migration decides them, so it
+    /// accounts for link contention among the task's own incoming messages and equals
+    /// the finish time the migration would commit, bit for bit.  Outgoing messages are
+    /// skipped: they do not influence `t`'s own finish time.
+    pub fn estimate(
+        &mut self,
+        builder: &ScheduleBuilder<'_>,
+        t: TaskId,
+        pivot: ProcId,
+        py: ProcId,
+        cfg: &BsaConfig,
+        comm: Option<&CommModel>,
+    ) -> f64 {
+        let drt = self.plan(builder, t, pivot, py, comm);
+        let exec = builder.exec_cost(t, py);
+        start_on(builder, cfg, py, drt, exec) + exec
+    }
+
+    /// Plans how every incoming message of `t` reaches `py` when `t` migrates there
+    /// from `pivot` (options A/B/C, see the type documentation), booking the plan in
+    /// the overlay; returns the data-ready time on `py`.  Read-only on the builder.
+    fn plan(
+        &mut self,
+        builder: &ScheduleBuilder<'_>,
+        t: TaskId,
+        pivot: ProcId,
+        py: ProcId,
+        comm: Option<&CommModel>,
+    ) -> f64 {
+        let graph = builder.graph();
+        let link = builder
+            .system()
+            .topology
+            .link_between(pivot, py)
+            .expect("migration target must be a neighbour of the pivot");
+        let NeighborPricer {
+            remote,
+            inbound,
+            policy_hops,
+            overlay,
+        } = self;
+        overlay.clear();
+        remote.clear();
+        inbound.clear();
+        policy_hops.clear();
+        let mut drt = 0.0f64;
+        for &eid in graph.in_edges(t) {
+            let src = graph.edge(eid).src;
+            if builder.proc_of(src) == Some(py) {
+                overlay.free_route(builder, eid);
+                drt = drt.max(builder.finish_of(src));
+            } else {
+                remote.push((eid, builder.finish_of(src)));
+            }
+        }
+        remote.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap());
+        for &(eid, src_finish) in remote.iter() {
+            let src_proc = builder
+                .proc_of(graph.edge(eid).src)
+                .expect("all tasks are placed");
+            let on_pivot = src_proc == pivot;
+            let dur = builder.transfer_time(link, eid);
+            let ready_at_pivot = if on_pivot {
+                src_finish
+            } else {
+                builder.route(eid).last().map_or(src_finish, |h| h.finish)
+            };
+            let via_start = overlay.earliest_link_slot(builder, link, pivot, ready_at_pivot, dur);
+            let via_pivot = MessageHop {
+                link,
+                from: pivot,
+                to: py,
+                start: via_start,
+                finish: via_start + dur,
+            };
+            let direct = if on_pivot {
+                None
+            } else {
+                builder
+                    .system()
+                    .topology
+                    .link_between(src_proc, py)
+                    .map(|dl| {
+                        let ddur = builder.transfer_time(dl, eid);
+                        let s = overlay.earliest_link_slot(builder, dl, src_proc, src_finish, ddur);
+                        MessageHop {
+                            link: dl,
+                            from: src_proc,
+                            to: py,
+                            start: s,
+                            finish: s + ddur,
+                        }
+                    })
+            };
+            // Option C books its route in the overlay right away; it stays there only
+            // if it wins.
+            let policy = comm.filter(|cm| cm.hops(src_proc, py) > 1).map(|cm| {
+                let mark = overlay.mark();
+                let lo = policy_hops.len();
+                let a = book_route(
+                    builder,
+                    overlay,
+                    cm,
+                    eid,
+                    src_proc,
+                    py,
+                    src_finish,
+                    policy_hops,
+                );
+                (mark, lo, a)
+            });
+            let (choice, arrival) = match (direct, policy) {
+                (_, Some((_, lo, a)))
+                    if a < via_pivot.finish && direct.map_or(true, |d| a < d.finish) =>
+                {
+                    let hi = policy_hops.len();
+                    (Inbound::Policy { lo, hi }, a)
+                }
+                _ => {
+                    if let Some((mark, lo, _)) = policy {
+                        overlay.truncate(mark);
+                        policy_hops.truncate(lo);
+                    }
+                    match direct {
+                        Some(hop) if hop.finish < via_pivot.finish => {
+                            overlay.free_route(builder, eid);
+                            overlay.book(builder, &hop);
+                            (Inbound::Direct(hop), hop.finish)
+                        }
+                        _ => {
+                            if on_pivot {
+                                overlay.free_route(builder, eid);
+                            }
+                            overlay.book(builder, &via_pivot);
+                            let choice = Inbound::ViaPivot {
+                                hop: via_pivot,
+                                extend: !on_pivot,
+                            };
+                            (choice, via_pivot.finish)
+                        }
+                    }
+                }
+            };
+            inbound.push(choice);
+            drt = drt.max(arrival);
+        }
+        drt
+    }
+}
+
+/// Start of a task of length `exec` that is data-ready at `drt` on `p`: the earliest
+/// fitting gap under insertion scheduling, else after the processor's last task.
+fn start_on(builder: &ScheduleBuilder<'_>, cfg: &BsaConfig, p: ProcId, drt: f64, exec: f64) -> f64 {
+    if cfg.insertion {
+        builder.earliest_proc_slot(p, drt, exec)
+    } else {
+        builder.earliest_proc_append(p, drt)
+    }
+}
+
+/// Moves `t` from `pivot` to the neighbouring processor `py`, re-routing its incoming
+/// and outgoing messages across the joining link and booking contention-free slots for
+/// them.
+///
+/// The incoming messages follow the plan [`NeighborPricer::plan`] makes — the same
+/// plan that priced the move — applied to the builder in a fixed order: unplace `t`,
+/// make the messages from `py` local, re-route the remote ones in plan order, place
+/// `t`.  Runs entirely on the builder's transactional mutation API, so a caller-held
+/// [`Txn`] can undo the whole move.
 ///
 /// With a cost-aware `comm` model, every re-routed message additionally evaluates a
 /// full reroute along the model's route (the same [`bsa_schedule::router`] booking the
@@ -542,132 +719,42 @@ pub(crate) fn migrate(
     pivot: ProcId,
     py: ProcId,
     cfg: &BsaConfig,
-    route_outgoing: bool,
     comm: Option<&CommModel>,
-    remote: &mut Vec<(EdgeId, f64)>,
+    pricer: &mut NeighborPricer,
 ) {
     let link = builder
         .system()
         .topology
         .link_between(pivot, py)
         .expect("migration target must be a neighbour of the pivot");
-    builder.unplace_task(t);
 
     // --- incoming messages -------------------------------------------------------------
-    // Remote incoming messages either start a fresh single-hop route pivot -> py (their
-    // producer still sits on the pivot), extend their existing route (which currently
-    // terminates at the pivot) by one hop, or — when the producer's processor happens to be
-    // directly connected to `py` and that is faster — get rescheduled on the direct link
-    // (the paper's "optimized routes" property of incremental message scheduling).
-    remote.clear();
-    let mut drt = 0.0f64;
+    let drt = pricer.plan(builder, t, pivot, py, comm);
+    pricer.overlay.clear();
+    builder.unplace_task(t);
     for &eid in graph.in_edges(t) {
-        let e = graph.edge(eid);
-        let src_proc = builder.proc_of(e.src).expect("all tasks are placed");
-        if src_proc == py {
-            // Becomes a local message.
+        if builder.proc_of(graph.edge(eid).src) == Some(py) {
             builder.clear_route(eid);
-            drt = drt.max(builder.finish_of(e.src));
-        } else {
-            remote.push((eid, builder.finish_of(e.src)));
         }
     }
-    // Book the earliest-ready messages first for tighter packing on the shared link.
-    remote.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap());
-    for &(eid, src_finish) in remote.iter() {
-        let e = graph.edge(eid);
-        let src_proc = builder.proc_of(e.src).expect("all tasks are placed");
-        let dur = builder.transfer_time(link, eid);
-        // Option A: route (or keep routing) through the pivot and add the final hop.
-        let ready_at_pivot = if src_proc == pivot {
-            src_finish
-        } else {
-            builder
-                .route(eid)
-                .last()
-                .map(|h| h.finish)
-                .unwrap_or(src_finish)
-        };
-        let via_pivot_start = builder.earliest_link_slot(link, pivot, ready_at_pivot, dur);
-        let via_pivot_arrival = via_pivot_start + dur;
-        // Option B (only for producers that already migrated off the pivot): a direct link
-        // from the producer's processor to py, rescheduling the message from scratch.
-        let direct = if src_proc != pivot {
-            builder
-                .system()
-                .topology
-                .link_between(src_proc, py)
-                .map(|dl| {
-                    let ddur = builder.transfer_time(dl, eid);
-                    let s = builder.earliest_link_slot(dl, src_proc, src_finish, ddur);
-                    (dl, s, s + ddur)
-                })
-        } else {
-            None
-        };
-        // Option C (cost-aware policies only): a full reroute along the communication
-        // model's route from the producer to py, booked speculatively so the arrival
-        // reflects real contention.  Skipped when the policy route is the direct link
-        // option B already prices.
-        let policy_route = comm
-            .filter(|cm| cm.hops(src_proc, py) > 1)
-            .map(|cm| route_message(builder, cm, eid, src_proc, py, src_finish));
-        let arrival = match (direct, policy_route) {
-            (_, Some((hops, a)))
-                if a < via_pivot_arrival && direct.map_or(true, |(_, _, da)| a < da) =>
-            {
-                commit_route(builder, eid, hops);
-                a
+    for (&(eid, _), &choice) in pricer.remote.iter().zip(&pricer.inbound) {
+        match choice {
+            Inbound::ViaPivot { hop, extend: true } => builder.push_hop(eid, hop),
+            Inbound::ViaPivot { hop, extend: false } | Inbound::Direct(hop) => {
+                builder.set_route(eid, vec![hop]);
             }
-            (Some((dl, s, a)), _) if a < via_pivot_arrival => {
-                builder.set_route(
-                    eid,
-                    vec![MessageHop {
-                        link: dl,
-                        from: src_proc,
-                        to: py,
-                        start: s,
-                        finish: a,
-                    }],
-                );
-                a
+            Inbound::Policy { lo, hi } => {
+                commit_route(builder, eid, pricer.policy_hops[lo..hi].to_vec());
             }
-            _ => {
-                let hop = MessageHop {
-                    link,
-                    from: pivot,
-                    to: py,
-                    start: via_pivot_start,
-                    finish: via_pivot_arrival,
-                };
-                if src_proc == pivot {
-                    // Producer still on the pivot: a fresh single-hop route.
-                    builder.set_route(eid, vec![hop]);
-                } else {
-                    // Route already terminates at the pivot: extend it by one hop in
-                    // place instead of re-booking every existing hop.
-                    builder.push_hop(eid, hop);
-                }
-                via_pivot_arrival
-            }
-        };
-        drt = drt.max(arrival);
+        }
     }
 
     // --- the task itself ---------------------------------------------------------------
-    let exec = builder.exec_cost(t, py);
-    let st = if cfg.insertion {
-        builder.earliest_proc_slot(py, drt, exec)
-    } else {
-        builder.earliest_proc_append(py, drt)
-    };
+    let st = start_on(builder, cfg, py, drt, builder.exec_cost(t, py));
     builder.place_task(t, py, st);
     let ft = builder.finish_of(t);
 
     // --- outgoing messages -------------------------------------------------------------
-    if !route_outgoing {
-        return;
-    }
     for &eid in graph.out_edges(t) {
         let e = graph.edge(eid);
         let dst_proc = builder.proc_of(e.dst).expect("all tasks are placed");
@@ -711,7 +798,7 @@ pub(crate) fn migrate(
             });
         let policy_route = comm
             .filter(|cm| cm.hops(py, dst_proc) > 1)
-            .map(|cm| route_message(builder, cm, eid, py, dst_proc, ft));
+            .map(|cm| route_message(builder, &mut pricer.overlay, cm, eid, py, dst_proc, ft));
         match (direct, policy_route) {
             (_, Some((hops, a)))
                 if a < extend_arrival && direct.map_or(true, |(_, _, da)| a < da) =>

@@ -1,10 +1,10 @@
 //! Deterministic concurrent neighbourhood evaluation (DESIGN.md §12).
 //!
 //! BSA's inner loop is dominated by candidate evaluation: for every considered task,
-//! every neighbour of the pivot is priced by speculatively performing the migration
-//! and rolling it back ([`crate::bsa`]).  The candidates are independent *reads* of
-//! the same schedule state, so they parallelise — but the schedule state itself is a
-//! mutable [`ScheduleBuilder`] that cannot be shared.
+//! every neighbour of the pivot is priced read-only ([`crate::bsa::NeighborPricer`]).
+//! The candidates are independent *reads* of the same schedule state, so they
+//! parallelise — but commits mutate the [`ScheduleBuilder`], so each worker prices on
+//! its own copy.
 //!
 //! The [`Crew`] solves this with **mirror builders**: each worker thread owns a full
 //! clone of the builder, taken once right after serialization, and keeps it
@@ -22,13 +22,12 @@
 //! depend on them.  Per-thread work is surfaced as
 //! [`ThreadStats`](bsa_schedule::solver::ThreadStats) in the solve trace.
 
-use crate::bsa::estimate_finish_on_neighbor;
-use crate::bsa::migrate;
+use crate::bsa::{migrate, NeighborPricer};
 use crate::config::{BsaConfig, RetimingMode};
 use bsa_network::{CommModel, ProcId};
 use bsa_schedule::solver::{RetimeTotals, ThreadStats};
 use bsa_schedule::ScheduleBuilder;
-use bsa_taskgraph::{EdgeId, TaskGraph, TaskId};
+use bsa_taskgraph::{TaskGraph, TaskId};
 use std::sync::mpsc;
 
 /// A command sent from the main thread to one evaluation worker.
@@ -90,23 +89,14 @@ impl Crew {
                     replays: 0,
                     retime: RetimeTotals::default(),
                 };
-                let mut remote: Vec<(EdgeId, f64)> = Vec::new();
+                let mut pricer = NeighborPricer::new();
                 while let Ok(cmd) = cmd_rx.recv() {
                     match cmd {
                         Cmd::Eval { t, pivot, lo, hi } => {
                             let mut results = Vec::with_capacity(hi - lo);
                             for i in lo..hi {
                                 let (py, _link) = mirror.system().topology.neighbors(pivot)[i];
-                                let ft = estimate_finish_on_neighbor(
-                                    &mut mirror,
-                                    graph,
-                                    t,
-                                    pivot,
-                                    py,
-                                    cfg,
-                                    comm,
-                                    &mut remote,
-                                );
+                                let ft = pricer.estimate(&mirror, t, pivot, py, cfg, comm);
                                 stats.evals += 1;
                                 results.push((i, ft));
                             }
@@ -115,17 +105,7 @@ impl Crew {
                             }
                         }
                         Cmd::Replay { t, pivot, py } => {
-                            migrate(
-                                &mut mirror,
-                                graph,
-                                t,
-                                pivot,
-                                py,
-                                cfg,
-                                true,
-                                comm,
-                                &mut remote,
-                            );
+                            migrate(&mut mirror, graph, t, pivot, py, cfg, comm, &mut pricer);
                             match cfg.retiming {
                                 RetimingMode::Incremental => {
                                     let s = mirror.recompute_times_incremental().expect(
@@ -159,19 +139,18 @@ impl Crew {
     /// with one finish-time estimate per neighbour index.
     ///
     /// The main thread prices the first contiguous chunk on the real `builder`
-    /// (speculate + rollback, exactly as the serial path) while the workers price
+    /// (read-only, exactly as the serial path) while the workers price
     /// the remaining chunks on their mirrors; because the mirrors are byte-identical
     /// the merged estimates equal what the serial loop would compute.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn evaluate(
         &mut self,
-        builder: &mut ScheduleBuilder<'_>,
-        graph: &TaskGraph,
+        builder: &ScheduleBuilder<'_>,
         t: TaskId,
         pivot: ProcId,
         cfg: &BsaConfig,
         comm: Option<&CommModel>,
-        remote: &mut Vec<(EdgeId, f64)>,
+        pricer: &mut NeighborPricer,
         num_neighbors: usize,
         out: &mut Vec<f64>,
         main_stats: &mut ThreadStats,
@@ -196,7 +175,7 @@ impl Crew {
         }
         for (i, slot) in out.iter_mut().enumerate().take(chunk.min(k)) {
             let (py, _link) = builder.system().topology.neighbors(pivot)[i];
-            *slot = estimate_finish_on_neighbor(builder, graph, t, pivot, py, cfg, comm, remote);
+            *slot = pricer.estimate(builder, t, pivot, py, cfg, comm);
             main_stats.evals += 1;
         }
         for _ in 0..expected {

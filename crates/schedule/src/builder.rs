@@ -17,10 +17,12 @@
 //! which relaxes only the nodes downstream of the mutations made since the last
 //! re-timing.
 //!
-//! Speculative work (evaluating a candidate migration or message route without
-//! committing it) goes through the transactional API in [`crate::txn`]:
-//! [`ScheduleBuilder::begin_txn`] / [`ScheduleBuilder::commit`] /
-//! [`ScheduleBuilder::rollback`], or the [`ScheduleBuilder::speculate`] wrapper.
+//! Evaluating a candidate migration or message route without committing it is
+//! read-only: tentative link bookings go into a [`LinkOverlay`](crate::overlay::LinkOverlay)
+//! layered over the builder.  Work that must be tried for real and possibly given up
+//! (a migration whose re-timing may fail) goes through the transactional API in
+//! [`crate::txn`]: [`ScheduleBuilder::begin_txn`] / [`ScheduleBuilder::commit`] /
+//! [`ScheduleBuilder::rollback`].
 
 use crate::incremental::{recompute_from, RetimeStats};
 use crate::recompute::{recompute, RecomputeError};
@@ -414,8 +416,7 @@ impl<'a> ScheduleBuilder<'a> {
 
     /// Appends one hop to the route of edge `e`, booking its window on the hop's link
     /// timeline.  This is the incremental-routing primitive: BSA extends a migrating
-    /// task's message routes one hop at a time, and the baselines' tentative routing
-    /// builds candidate routes with it under [`ScheduleBuilder::speculate`].
+    /// task's message routes one hop at a time.
     ///
     /// # Panics
     /// Panics (in debug builds) if the hop's window overlaps existing traffic on the

@@ -22,8 +22,10 @@
 //!   path, see [`incremental`]).
 //!
 //! Mutations are transactional ([`txn`]): [`ScheduleBuilder::begin_txn`] /
-//! [`ScheduleBuilder::commit`] / [`ScheduleBuilder::rollback`] give speculative
-//! algorithms an undo log instead of a whole-builder clone.  The finished, immutable
+//! [`ScheduleBuilder::commit`] / [`ScheduleBuilder::rollback`] give algorithms that
+//! try a move and may give it up an undo log instead of a whole-builder clone.
+//! Pricing a candidate does not mutate at all: tentative link bookings live in a
+//! [`LinkOverlay`] ([`overlay`]) over a shared borrow of the builder.  The finished, immutable
 //! [`Schedule`] can then be *validated* against the full contention model
 //! ([`validate::validate`]) and summarised ([`metrics::ScheduleMetrics`]).
 //!
@@ -59,6 +61,7 @@ pub mod delta;
 pub mod gantt;
 pub mod incremental;
 pub mod metrics;
+pub mod overlay;
 pub mod pool;
 pub mod portfolio;
 pub mod recompute;
@@ -75,6 +78,7 @@ pub use builder::ScheduleBuilder;
 pub use delta::{DeltaError, DeltaOp, ProblemDelta, ProblemUpdate};
 pub use incremental::{RetimeKind, RetimeStats};
 pub use metrics::ScheduleMetrics;
+pub use overlay::LinkOverlay;
 pub use portfolio::{Portfolio, PortfolioEntry, RaceStrategy};
 pub use recompute::RecomputeError;
 pub use resolve::ResolveError;
@@ -84,7 +88,7 @@ pub use solver::{
     Progress, Provenance, RetimeTotals, Solution, SolveError, SolveEvent, SolveOptions, SolveTrace,
     Solver, StopReason, ThreadStats, MAX_THREADS,
 };
-pub use timeline::Timeline;
+pub use timeline::{Timeline, TimelineDelta};
 pub use txn::Txn;
 pub use validate::{validate, ValidationError};
 

@@ -15,13 +15,14 @@
 //!    stays acyclic).
 //! 2. **Adopt** every surviving placement and route verbatim (ids remapped through the
 //!    [`ProblemUpdate`] maps).  Adoption re-plays them through the transactional
-//!    [`ScheduleBuilder`] mutation path, so the repair loop can speculate against the
-//!    adopted state exactly as the cold solver does.
+//!    [`ScheduleBuilder`] mutation path, so the repair loop prices candidates against
+//!    the adopted state exactly as the cold solver does.
 //! 3. **Repair** the evicted tasks in topological order: each candidate processor is
-//!    scored by speculatively booking the task's incoming messages (via the same
-//!    router as the cold path — routes over downed links are recomputed only for the
-//!    affected pairs) and placing the task in the earliest gap; the best finish wins,
-//!    ties to the lower processor id.
+//!    scored read-only, by booking the task's incoming messages in a [`LinkOverlay`]
+//!    (via the same router as the cold path — routes over downed links are recomputed
+//!    only for the affected pairs) and finding the earliest gap for the task; the best
+//!    finish wins, ties to the lower processor id.  The winner's plan is then applied
+//!    to the builder.
 //! 4. **Re-time** with the dirty-cone kernel, seeded by the mutation log accumulated
 //!    in steps 2–3 (`recompute_times_from` with the repaired frontier as explicit
 //!    seeds), which compacts the schedule exactly like a cold solver's final pass.
@@ -39,14 +40,15 @@
 use crate::builder::ScheduleBuilder;
 use crate::delta::{DeltaError, ProblemDelta, ProblemUpdate};
 use crate::metrics::ScheduleMetrics;
-use crate::router::{commit_route, route_message};
+use crate::overlay::LinkOverlay;
+use crate::router::{book_route, commit_route};
 use crate::schedule::MessageHop;
 use crate::solver::{
     BudgetMeter, MigrationRecord, Problem, Provenance, RetimeTotals, Solution, SolveError,
     SolveOptions, SolveTrace, StopReason,
 };
-use bsa_network::CommModel;
-use bsa_taskgraph::TaskId;
+use bsa_network::{CommModel, ProcId};
+use bsa_taskgraph::{TaskGraph, TaskId};
 use std::fmt;
 
 /// Why a [`Solution::resolve`] call failed: either the delta itself was invalid, or
@@ -213,6 +215,7 @@ impl Solution {
         let mut stop = StopReason::Converged;
         let mut budget_hit = false;
         let mut migrations = Vec::with_capacity(repair_order.len());
+        let mut plan = InboundPlan::default();
         for &t in &repair_order {
             // Budgets never abort a repair (a partial repair is not a feasible
             // answer); the first exhaustion is recorded as the stop reason.
@@ -225,14 +228,14 @@ impl Solution {
             let mut best_finish = f64::INFINITY;
             let mut best_proc = None;
             for p in system.topology.proc_ids() {
-                let finish = b.speculate(|b| book_and_place(b, graph, &comm, t, p));
+                let (_, finish) = plan.price(&b, graph, &comm, t, p);
                 if finish < best_finish {
                     best_finish = finish;
                     best_proc = Some(p);
                 }
             }
             let p = best_proc.expect("systems have at least one processor");
-            let finish = book_and_place(&mut b, graph, &comm, t, p);
+            let finish = plan.commit(&mut b, graph, &comm, t, p);
             meter.record_migration();
             let (from, old_finish) = match update.old_task_of(t) {
                 Some(t_old) => (
@@ -299,36 +302,83 @@ impl Solution {
 }
 
 /// The graph's deterministic topological order, restricted to the evicted tasks.
-fn repair_topo_order(graph: &bsa_taskgraph::TaskGraph, evicted: &[bool]) -> Vec<TaskId> {
+fn repair_topo_order(graph: &TaskGraph, evicted: &[bool]) -> Vec<TaskId> {
     bsa_taskgraph::TopologicalOrder::compute(graph)
         .iter()
         .filter(|t| evicted[t.index()])
         .collect()
 }
 
-/// Books every incoming message of `t` (producers are placed — adopted or repaired
-/// earlier in topological order), places `t` in the earliest gap on `p`, and returns
-/// its finish time.  Run inside `speculate` to score a candidate, or directly to
-/// commit the winner.
-fn book_and_place(
-    b: &mut ScheduleBuilder<'_>,
-    graph: &bsa_taskgraph::TaskGraph,
-    comm: &CommModel,
-    t: TaskId,
-    p: bsa_network::ProcId,
-) -> f64 {
-    let mut ready = 0.0f64;
-    for &e in graph.in_edges(t) {
-        let src = graph.edge(e).src;
-        let sp = b
-            .proc_of(src)
-            .expect("predecessors are placed before their successors are repaired");
-        let producer_finish = b.finish_of(src);
-        let (hops, arrival) = route_message(b, comm, e, sp, p, producer_finish);
-        commit_route(b, e, hops);
-        ready = ready.max(arrival);
+/// The incoming-message plan of one repair candidate, with reusable buffers.
+#[derive(Default)]
+struct InboundPlan {
+    /// Tentative bookings of the plan's messages.
+    overlay: LinkOverlay,
+    /// The hops of every incoming edge, in `in_edges` order.
+    hops: Vec<MessageHop>,
+    /// End of each incoming edge's hops in `hops`.
+    ends: Vec<usize>,
+}
+
+impl InboundPlan {
+    /// Routes every incoming message of `t` to `p` in the overlay, one after the other
+    /// (producers are placed — adopted or repaired earlier in topological order), and
+    /// returns the start and finish `t` would get in the earliest gap on `p`.
+    /// Read-only.
+    fn price(
+        &mut self,
+        b: &ScheduleBuilder<'_>,
+        graph: &TaskGraph,
+        comm: &CommModel,
+        t: TaskId,
+        p: ProcId,
+    ) -> (f64, f64) {
+        self.overlay.clear();
+        self.hops.clear();
+        self.ends.clear();
+        let mut ready = 0.0f64;
+        for &e in graph.in_edges(t) {
+            let src = graph.edge(e).src;
+            let sp = b
+                .proc_of(src)
+                .expect("predecessors are placed before their successors are repaired");
+            let producer_finish = b.finish_of(src);
+            let arrival = book_route(
+                b,
+                &mut self.overlay,
+                comm,
+                e,
+                sp,
+                p,
+                producer_finish,
+                &mut self.hops,
+            );
+            self.ends.push(self.hops.len());
+            ready = ready.max(arrival);
+        }
+        let exec = b.exec_cost(t, p);
+        let start = b.earliest_proc_slot(p, ready, exec);
+        (start, start + exec)
     }
-    let start = b.earliest_proc_slot(p, ready, b.exec_cost(t, p));
-    b.place_task(t, p, start);
-    b.finish_of(t)
+
+    /// Prices `t` on `p`, then commits the plan: every incoming route, then the task.
+    /// Returns the task's finish time.
+    fn commit(
+        &mut self,
+        b: &mut ScheduleBuilder<'_>,
+        graph: &TaskGraph,
+        comm: &CommModel,
+        t: TaskId,
+        p: ProcId,
+    ) -> f64 {
+        let (start, _) = self.price(b, graph, comm, t, p);
+        self.overlay.clear();
+        let mut lo = 0;
+        for (&e, &hi) in graph.in_edges(t).iter().zip(&self.ends) {
+            commit_route(b, e, self.hops[lo..hi].to_vec());
+            lo = hi;
+        }
+        b.place_task(t, p, start);
+        b.finish_of(t)
+    }
 }

@@ -793,7 +793,7 @@ impl RetimeTotals {
 pub struct ThreadStats {
     /// Zero-based thread index (0 = the calling thread).
     pub thread: usize,
-    /// Speculative candidate evaluations (`speculate` + rollback) performed.
+    /// Candidate evaluations (read-only neighbour pricings) performed.
     pub evals: u64,
     /// Committed migrations replayed onto this thread's mirror builder (always 0 for
     /// thread 0, whose builder is the commit target itself).

@@ -22,32 +22,40 @@
 //!
 //! On timelines with thousands of busy slots the residual linear scan of
 //! [`Timeline::earliest_gap`] — from the first interval still alive at `ready` to the
-//! first gap that fits — dominates the speculation loops of the migration phase
+//! first gap that fits — dominates neighbour pricing in the migration phase
 //! (DESIGN.md §14).  The timeline therefore keeps a lazily maintained two-level
 //! summary: intervals are grouped in chunks of `CHUNK` intervals and each chunk stores
 //!
 //! * `pmax` — the maximum finish instant inside the chunk, and
 //! * `room` — the largest *internal headroom* `start[i] − max(finish[j] : j < i, same
-//!   chunk)` of any interval in the chunk (the chunk's first interval contributes
-//!   `+∞`, because its headroom is bounded only by state outside the chunk).
+//!   chunk)` over the chunk's intervals after its first.
 //!
-//! A gap query walks chunk summaries instead of intervals: a whole chunk whose
-//! headroom upper bound is (conservatively, with a floating-point safety margin)
-//! smaller than the requested duration provably contains no fitting gap and is
-//! skipped in O(1), folding its `pmax` into the scan state; only chunks that *might*
-//! host the fit are scanned interval-by-interval with the exact scalar rule, so the
-//! result is identical to the plain scan — the skip test errs toward descending,
-//! never toward skipping a fit.  Queries cost O(n / CHUNK + CHUNK) on fresh
-//! summaries instead of O(n).
+//! A gap query walks chunk summaries instead of intervals.  A fit inside a chunk is
+//! either at its first interval, bounded by `first_start − candidate`, or at a later
+//! one, bounded by `room` and by `last_start − candidate`.  A chunk whose bound is
+//! (conservatively, with a floating-point safety margin) smaller than the requested
+//! duration provably contains no fit and is skipped in O(1), folding its `pmax` into
+//! the scan state; only chunks that *might* host the fit are scanned
+//! interval-by-interval with the exact scalar rule, so the result is identical to the
+//! plain scan — the skip test errs toward descending, never toward skipping a fit.  On
+//! a dense timeline a query costs O(n / CHUNK + CHUNK) on fresh summaries instead of
+//! O(n): a walk over the chunk summaries plus the one or two chunks it descends into.
 //!
 //! Mutations stay cheap: every structural change (insert / remove / window rewrite)
 //! only lowers a freshness watermark in O(1); the next gap query on a large timeline
 //! re-derives the stale chunk summaries once (self-healing, amortized across the many
-//! speculative queries between mutation batches).  The summary lives behind a
-//! `RefCell` because queries take `&self`; the timeline as a whole stays `Send`,
-//! which is all the parallel solver's mirror builders require.  Summaries are pure
-//! caches: equality ([`PartialEq`]) compares intervals only, so builders that took
-//! different mutation paths to the same schedule still compare equal.
+//! pricing queries between mutation batches).  The summary lives behind a `RefCell`
+//! because queries take `&self`; the timeline as a whole stays `Send`, which is all
+//! the parallel solver's mirror builders require.  Summaries are pure caches:
+//! equality ([`PartialEq`]) compares intervals only, so builders that took different
+//! mutation paths to the same schedule still compare equal.
+//!
+//! # What-if queries
+//!
+//! A [`TimelineDelta`] records the intervals a what-if frees and the windows it books
+//! without mutating the timeline; [`Timeline::earliest_gap_with`] answers the gap
+//! query on the merged view exactly as the materialized timeline would.  Chunks that
+//! hold no freed position and no pending window still take the O(1) skip.
 
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
@@ -79,10 +87,71 @@ pub struct Interval<P> {
 struct GapIndex {
     /// Per-chunk maximum finish instant.
     pmax: Vec<f64>,
-    /// Per-chunk maximum internal headroom (`+∞` for the chunk's first interval).
+    /// Per-chunk maximum internal headroom `start[i] − max(finish[j] : j < i)` over the
+    /// chunk's intervals after its first (`−∞` for a one-interval chunk).  The first
+    /// interval is left out: its headroom depends on state outside the chunk, so the
+    /// skip test bounds a fit there by the interval's own start.
     room: Vec<f64>,
     /// Chunks `[0, fresh)` are valid; mutations lower the watermark, queries heal it.
     fresh: usize,
+}
+
+/// Uncommitted edits to one [`Timeline`]: positions of base intervals freed and busy
+/// windows booked by a what-if, queried through [`Timeline::earliest_gap_with`]
+/// without touching the timeline itself.
+///
+/// Built against the timeline's current intervals; any mutation of the timeline
+/// invalidates it.  Windows are kept in the order [`Timeline::insert`] would have
+/// placed them, so the merged view is exactly the materialized timeline.
+#[derive(Debug, Clone, Default)]
+pub struct TimelineDelta {
+    /// Freed base positions, ascending.
+    freed: Vec<usize>,
+    /// Booked `(start, finish)` windows, in insertion order.
+    booked: Vec<(f64, f64)>,
+}
+
+impl TimelineDelta {
+    /// Whether the delta frees and books nothing.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.freed.is_empty() && self.booked.is_empty()
+    }
+
+    /// Forgets every edit, keeping the capacity.
+    pub(crate) fn clear(&mut self) {
+        self.freed.clear();
+        self.booked.clear();
+    }
+
+    /// Frees the base interval at position `pos`; returns where the position was
+    /// recorded, which undoing the edit needs.
+    pub fn free(&mut self, pos: usize) -> usize {
+        let at = self.freed.partition_point(|&p| p < pos);
+        debug_assert!(self.freed.get(at) != Some(&pos), "interval freed twice");
+        self.freed.insert(at, pos);
+        at
+    }
+
+    /// Books the window `[start, start + duration)` — the interval
+    /// [`Timeline::insert`] would create — and returns where it was recorded, which
+    /// undoing the edit needs.
+    pub fn book(&mut self, start: f64, duration: f64) -> usize {
+        let at = self.booked.partition_point(|&(s, _)| s < start - TIME_EPS);
+        self.booked.insert(at, (start, start + duration));
+        at
+    }
+
+    /// Undoes the [`TimelineDelta::free`] that returned `at`; edits are undone
+    /// last-in first-out.
+    pub(crate) fn unfree(&mut self, at: usize) {
+        self.freed.remove(at);
+    }
+
+    /// Undoes the [`TimelineDelta::book`] that returned `at`; edits are undone
+    /// last-in first-out.
+    pub(crate) fn unbook(&mut self, at: usize) {
+        self.booked.remove(at);
+    }
 }
 
 /// A sorted sequence of non-overlapping busy intervals.
@@ -155,42 +224,18 @@ impl<P: Copy> Timeline<P> {
         for k in idx.fresh..upto {
             let lo = k * CHUNK;
             let hi = ((k + 1) * CHUNK).min(n);
-            let mut pmax = f64::NEG_INFINITY;
+            // The first interval's headroom depends on state outside the chunk; the
+            // skip test bounds it by its own start instead.
+            let mut pmax = self.intervals[lo].finish;
             let mut room = f64::NEG_INFINITY;
-            for iv in &self.intervals[lo..hi] {
-                // First interval of the chunk: headroom bounded only by outside state.
-                let r = if pmax == f64::NEG_INFINITY {
-                    f64::INFINITY
-                } else {
-                    iv.start - pmax
-                };
-                if r > room {
-                    room = r;
-                }
-                if iv.finish > pmax {
-                    pmax = iv.finish;
-                }
+            for iv in &self.intervals[lo + 1..hi] {
+                room = room.max(iv.start - pmax);
+                pmax = pmax.max(iv.finish);
             }
             idx.pmax[k] = pmax;
             idx.room[k] = room;
         }
         idx.fresh = idx.fresh.max(upto);
-    }
-
-    /// The plain scalar gap scan from `first_alive` — the reference semantics every
-    /// other path must reproduce bit-for-bit.
-    fn scalar_gap(&self, ready: f64, duration: f64, first_alive: usize) -> f64 {
-        let mut candidate = ready;
-        for iv in &self.intervals[first_alive..] {
-            if candidate + duration <= iv.start + TIME_EPS {
-                // Fits entirely before this busy interval.
-                return candidate;
-            }
-            if iv.finish > candidate {
-                candidate = iv.finish;
-            }
-        }
-        candidate
     }
 
     /// Earliest start time `s >= ready` such that `[s, s + duration)` does not overlap any
@@ -204,56 +249,130 @@ impl<P: Copy> Timeline<P> {
     /// whole chunks that provably cannot host a fit; the result is identical to the
     /// scalar scan.
     pub fn earliest_gap(&self, ready: f64, duration: f64) -> f64 {
+        self.gap_over(ready, duration, &[], &[])
+    }
+
+    /// [`Timeline::earliest_gap`] on the timeline `delta` describes: this one without
+    /// the intervals `delta` freed, plus the windows it booked.  The answer is exactly
+    /// what `earliest_gap` returns on a materialized copy (the freed intervals removed,
+    /// the windows inserted in booking order), without building one.
+    ///
+    /// `delta` must have been built against this timeline's current intervals.
+    pub fn earliest_gap_with(&self, delta: &TimelineDelta, ready: f64, duration: f64) -> f64 {
+        self.gap_over(ready, duration, &delta.freed, &delta.booked)
+    }
+
+    /// The gap scan over `(intervals ∖ freed) ∪ booked`, in the order
+    /// [`Timeline::insert`] would have merged the windows: a window precedes base
+    /// interval `b` iff `b.start ≥ w.start − TIME_EPS`.  Runs of untouched base
+    /// intervals between the freed positions and the windows' merge points go through
+    /// [`Timeline::scan_base`], which skips whole clean chunks.
+    fn gap_over(&self, ready: f64, duration: f64, freed: &[usize], booked: &[(f64, f64)]) -> f64 {
         let n = self.intervals.len();
         let first_alive = self
             .intervals
             .partition_point(|iv| iv.finish < ready - TIME_EPS);
-        if n - first_alive < CHUNK_MIN_LEN {
-            return self.scalar_gap(ready, duration, first_alive);
-        }
-        let mut idx = self.index.borrow_mut();
-        let num_chunks = n.div_ceil(CHUNK);
-        self.heal_index(&mut idx, num_chunks);
-
+        let idx = (n - first_alive >= CHUNK_MIN_LEN).then(|| {
+            let mut idx = self.index.borrow_mut();
+            self.heal_index(&mut idx, n.div_ceil(CHUNK));
+            idx
+        });
         // The scan state is `candidate = max(ready, max finish of scanned intervals)`.
-        // Intervals before `first_alive` all finish before `ready`, so folding their
-        // chunks' pmax in would be absorbed by `ready` anyway — start from `ready`.
+        // Intervals and windows that finish before `ready` would be absorbed by `ready`
+        // anyway, so the scan starts from `ready` past them.
         let mut candidate = ready;
         let mut i = first_alive;
-        while i < n {
+        let mut f = freed.partition_point(|&p| p < first_alive);
+        let mut w = booked.partition_point(|&(_, fin)| fin < ready - TIME_EPS);
+        // Base position window `w` merges before, searched from base position `from`.
+        let merge_point = |w: usize, from: usize| {
+            booked.get(w).map_or(n, |&(start, _)| {
+                from + self.intervals[from..].partition_point(|iv| iv.start < start - TIME_EPS)
+            })
+        };
+        let mut window_at = merge_point(w, i);
+        loop {
+            let freed_at = freed.get(f).map_or(n, |&p| p);
+            let stop = window_at.min(freed_at);
+            if let Some(fit) = self.scan_base(idx.as_deref(), i, stop, &mut candidate, duration) {
+                return fit;
+            }
+            i = stop;
+            if w < booked.len() && window_at == stop {
+                let (start, finish) = booked[w];
+                if candidate + duration <= start + TIME_EPS {
+                    return candidate;
+                }
+                if finish > candidate {
+                    candidate = finish;
+                }
+                w += 1;
+                window_at = merge_point(w, i);
+            } else if freed_at < n {
+                i += 1;
+                f += 1;
+            } else {
+                return candidate;
+            }
+        }
+    }
+
+    /// The scalar scan over base intervals `[i, stop)`, advancing `candidate`; returns
+    /// the fit if one is found.  With the index, every whole chunk inside the range is
+    /// tested first and skipped in O(1) when it provably holds no fit.
+    fn scan_base(
+        &self,
+        idx: Option<&GapIndex>,
+        mut i: usize,
+        stop: usize,
+        candidate: &mut f64,
+        duration: f64,
+    ) -> Option<f64> {
+        let n = self.intervals.len();
+        while i < stop {
             let k = i / CHUNK;
             let hi = ((k + 1) * CHUNK).min(n);
-            if i == k * CHUNK {
-                // Whole chunk ahead: a fit at interval `j` inside it needs both
-                // `candidate + duration` and `(chunk-local max finish before j) +
-                // duration` to be ≤ `start[j] + EPS`; `start[j] ≤ last start` and the
-                // local headroom is ≤ `room[k]`, so if either bound falls short by
-                // more than a floating-point safety margin, no fit exists in the
-                // chunk and it is skipped whole.  The margin errs toward descending
-                // (a scanned chunk is always exact), never toward a wrong skip.
+            if let Some(idx) = idx.filter(|_| i == k * CHUNK && hi <= stop) {
+                // Whole chunk ahead.  A fit at its first interval needs `candidate +
+                // duration ≤ first_start + EPS`.  A fit at a later interval `j` needs
+                // both `candidate + duration` and `(chunk-local max finish before j) +
+                // duration` to be ≤ `start[j] + EPS`, where `start[j] ≤ last_start`
+                // and the local headroom is ≤ `room[k]`.  If the bound falls short by
+                // more than a floating-point safety margin, no fit exists in the chunk
+                // and it is skipped whole.  The margin errs toward descending (a
+                // scanned chunk is always exact), never toward a wrong skip.
+                let c = *candidate;
+                let first_start = self.intervals[i].start;
                 let last_start = self.intervals[hi - 1].start;
-                let bound = (last_start - candidate).min(idx.room[k]);
-                let margin =
-                    1e-12 * (last_start.abs() + candidate.abs() + idx.pmax[k].abs() + duration);
+                let bound = (last_start - c).min((first_start - c).max(idx.room[k]));
+                let margin = 1e-12
+                    * (last_start.abs()
+                        + first_start.abs()
+                        + c.abs()
+                        + idx.pmax[k].abs()
+                        + duration);
                 if bound < duration - TIME_EPS - margin {
-                    if idx.pmax[k] > candidate {
-                        candidate = idx.pmax[k];
+                    if idx.pmax[k] > c {
+                        *candidate = idx.pmax[k];
                     }
                     i = hi;
                     continue;
                 }
             }
-            for iv in &self.intervals[i..hi] {
-                if candidate + duration <= iv.start + TIME_EPS {
-                    return candidate;
+            let end = hi.min(stop);
+            #[cfg(test)]
+            count_scanned(end - i);
+            for iv in &self.intervals[i..end] {
+                if *candidate + duration <= iv.start + TIME_EPS {
+                    return Some(*candidate);
                 }
-                if iv.finish > candidate {
-                    candidate = iv.finish;
+                if iv.finish > *candidate {
+                    *candidate = iv.finish;
                 }
             }
-            i = hi;
+            i = end;
         }
-        candidate
+        None
     }
 
     /// Earliest start time when only appending after every existing interval is allowed.
@@ -406,6 +525,17 @@ impl<P: Copy> Timeline<P> {
     pub fn payloads(&self) -> impl Iterator<Item = P> + '_ {
         self.intervals.iter().map(|iv| iv.payload)
     }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Base intervals the gap scan visited one by one on this thread (tests only).
+    static SCANNED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+#[cfg(test)]
+fn count_scanned(n: usize) {
+    SCANNED.with(|c| c.set(c.get() + n as u64));
 }
 
 #[cfg(test)]
@@ -659,6 +789,60 @@ mod tests {
             );
             assert!(t.is_consistent());
         }
+    }
+
+    /// `chunks` full chunks of unit intervals separated by gaps of 0.5; the gap before
+    /// the first interval of chunk `wide` (if any) is 1.0 instead.
+    fn dense(chunks: usize, wide: Option<usize>) -> Timeline<usize> {
+        let mut t = Timeline::new();
+        let mut cursor = 0.0;
+        for i in 0..chunks * CHUNK {
+            if wide == Some(i / CHUNK) && i % CHUNK == 0 {
+                cursor += 0.5;
+            }
+            t.insert(cursor, 1.0, i);
+            cursor += 1.5;
+        }
+        t
+    }
+
+    /// Runs one gap query on a warm index; returns the answer and the number of
+    /// intervals it scanned one by one.
+    fn scanned_query(t: &Timeline<usize>, ready: f64, duration: f64) -> (f64, u64) {
+        let _ = t.earliest_gap(ready, duration); // heal the summaries
+        SCANNED.with(|c| c.set(0));
+        let got = t.earliest_gap(ready, duration);
+        assert_eq!(got.to_bits(), reference_gap(t, ready, duration).to_bits());
+        (got, SCANNED.with(std::cell::Cell::get))
+    }
+
+    #[test]
+    fn gap_query_skips_chunks_whose_internal_gaps_are_too_short() {
+        // Ten chunks whose every gap (0.5) is shorter than the request (1.0): the query
+        // must walk the summaries, not the intervals.
+        let t = dense(10, None);
+        for ready in [0.0, 100.25, 301.0] {
+            let (got, scanned) = scanned_query(&t, ready, 1.0);
+            assert_eq!(got, t.last_finish());
+            assert!(
+                scanned <= 2 * CHUNK as u64,
+                "ready {ready}: scanned {scanned} intervals one by one"
+            );
+        }
+    }
+
+    #[test]
+    fn gap_query_finds_a_fit_exactly_before_a_chunks_first_interval() {
+        // The only fitting gap (exactly 1.0) sits before chunk 5's first interval; the
+        // chunk's own headroom is 0.5, so only its first start can admit the fit.
+        let t = dense(10, Some(5));
+        let before_chunk5 = t.intervals()[5 * CHUNK - 1].finish;
+        let (got, scanned) = scanned_query(&t, 0.0, 1.0);
+        assert_eq!(got, before_chunk5);
+        assert!(scanned <= 2 * CHUNK as u64, "scanned {scanned}");
+        // A request a hair longer no longer fits there and goes to the end.
+        let (got, _) = scanned_query(&t, 0.0, 1.0 + 1e-6);
+        assert_eq!(got, t.last_finish());
     }
 
     #[test]

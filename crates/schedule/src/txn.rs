@@ -1,4 +1,4 @@
-//! Transactional mutations on a [`ScheduleBuilder`]: undo log, rollback, speculation.
+//! Transactional mutations on a [`ScheduleBuilder`]: undo log and rollback.
 //!
 //! Every mutating operation of the builder ([`ScheduleBuilder::place_task`],
 //! [`ScheduleBuilder::unplace_task`], [`ScheduleBuilder::set_route`],
@@ -8,8 +8,8 @@
 //! restores the builder to its exact pre-transaction state — byte for byte, including
 //! every `f64` instant — without ever cloning the builder.  This is the primitive the
 //! BSA migration loop uses for its "try a migration, keep it only if the re-timing
-//! succeeds" step, and the one the baselines use (via
-//! [`ScheduleBuilder::speculate`]) for tentative message bookings.  See DESIGN.md §7.1.
+//! succeeds" step.  Pricing a candidate needs no transaction at all: it is read-only,
+//! over a [`LinkOverlay`](crate::overlay::LinkOverlay).  See DESIGN.md §7.1.
 //!
 //! Transactions nest LIFO: an inner [`Txn`] must be committed or rolled back before
 //! the outer one.  Committing the outermost transaction discards the log; committing
@@ -177,21 +177,6 @@ impl<'a> ScheduleBuilder<'a> {
             }
         }
         self.txn_depth -= 1;
-    }
-
-    /// Runs `f` inside a transaction that is always rolled back: the builder is free to
-    /// mutate (book link slots, place the task, …) and every change is undone before
-    /// this returns.  The closure's result — typically a finish-time or a tentative hop
-    /// schedule — is passed through.
-    ///
-    /// This is the "what if" primitive: BSA's neighbour evaluation and the baselines'
-    /// tentative message routing both use it instead of hand-rolled non-mutating
-    /// re-implementations of the booking logic.
-    pub fn speculate<R>(&mut self, f: impl FnOnce(&mut Self) -> R) -> R {
-        let txn = self.begin_txn();
-        let result = f(self);
-        self.rollback(txn);
-        result
     }
 
     /// Whether a transaction is currently open.
@@ -465,21 +450,6 @@ mod tests {
     }
 
     #[test]
-    fn speculate_always_rolls_back_and_passes_the_result_through() {
-        let g = chain_graph();
-        let sys = HeterogeneousSystem::homogeneous(&g, ring(3).unwrap());
-        let mut b = ScheduleBuilder::new(&g, &sys).unwrap();
-        b.place_task(TaskId(0), ProcId(0), 0.0);
-        let reference = b.clone();
-        let finish = b.speculate(|s| {
-            s.place_task(TaskId(1), ProcId(1), 11.0);
-            s.finish_of(TaskId(1))
-        });
-        assert_eq!(finish, 31.0);
-        assert!(b.same_schedule_state(&reference));
-    }
-
-    #[test]
     fn rollback_restores_the_dirty_list_for_the_next_incremental_pass() {
         let g = chain_graph();
         let sys = HeterogeneousSystem::homogeneous(&g, ring(3).unwrap());
@@ -487,8 +457,11 @@ mod tests {
         b.place_task(TaskId(0), ProcId(0), 5.0);
         b.place_task(TaskId(1), ProcId(0), 20.0);
         b.place_task(TaskId(2), ProcId(0), 50.0);
-        // Speculation must not lose the pending dirt from the placements above …
-        b.speculate(|s| s.unplace_task(TaskId(2)));
+        // A rolled-back transaction must not lose the pending dirt from the
+        // placements above …
+        let txn = b.begin_txn();
+        b.unplace_task(TaskId(2));
+        b.rollback(txn);
         // … so the incremental pass still compacts everything.
         b.recompute_times_incremental().unwrap();
         assert_eq!(b.start_of(TaskId(0)), 0.0);
@@ -564,24 +537,26 @@ mod tests {
         assert!(before.len() >= 30, "every placement left pending dirt");
         let reference = b.clone();
 
-        b.speculate(|s| {
-            s.unplace_task(TaskId(1));
-            s.place_task(TaskId(1), ProcId(2), 1000.0);
-            s.set_route(EdgeId(0), vec![hop(2, 0, 2, 10.0, 15.0)]);
-            s.push_hop(EdgeId(1), hop(1, 2, 1, 1010.0, 1015.0));
-            // A nested speculation over the same pending list.
-            s.speculate(|s| s.unplace_task(TaskId(7)));
-        });
-        assert_eq!(b.dirty, before, "content and order survive the speculation");
+        let txn = b.begin_txn();
+        b.unplace_task(TaskId(1));
+        b.place_task(TaskId(1), ProcId(2), 1000.0);
+        b.set_route(EdgeId(0), vec![hop(2, 0, 2, 10.0, 15.0)]);
+        b.push_hop(EdgeId(1), hop(1, 2, 1, 1010.0, 1015.0));
+        // A nested transaction over the same pending list.
+        let inner = b.begin_txn();
+        b.unplace_task(TaskId(7));
+        b.rollback(inner);
+        b.rollback(txn);
+        assert_eq!(b.dirty, before, "content and order survive the rollback");
         assert_stamps_match_list(&b);
         assert!(b.same_schedule_state(&reference));
         assert!(b.dirty_stash.is_empty());
 
-        // Nodes first marked inside the speculation (the new hop of edge 1) push once.
+        // Nodes first marked inside the transaction (the new hop of edge 1) push once.
         assert_marks_once(&mut b, DirtyNode::Hop(EdgeId(1), 0));
         assert_marks_once(&mut b, DirtyNode::Task(TaskId(4)));
 
-        // The restored list seeds the same pass an unspeculated builder runs.
+        // The restored list seeds the same pass an untouched builder runs.
         let mut twin = reference;
         twin.mark_dirty(DirtyNode::Hop(EdgeId(1), 0));
         b.recompute_times_incremental().unwrap();

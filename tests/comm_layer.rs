@@ -351,3 +351,156 @@ fn ecube_off_hypercube_falls_back_to_shortest_hop_under_full_duplex() {
     assert_eq!(fingerprint(&g, &ecube.schedule), 16428540367992757982u64);
     assert_eq!(ecube.schedule.schedule_length(), 22308.467829001274);
 }
+
+/// FNV-style fingerprint of the whole schedule: every placement (as [`fingerprint`])
+/// followed by every hop's link, direction and window bits, edge by edge.
+fn schedule_fingerprint(graph: &TaskGraph, s: &Schedule) -> u64 {
+    let mut h = fingerprint(graph, s);
+    for e in graph.edge_ids() {
+        for hop in &s.route(e).hops {
+            for v in [
+                hop.link.0 as u64,
+                hop.from.0 as u64,
+                hop.start.to_bits(),
+                hop.finish.to_bits(),
+            ] {
+                h ^= v;
+                h = h.wrapping_mul(0x100000001b3);
+            }
+        }
+    }
+    h
+}
+
+/// A 40-task random graph on an 8-processor hypercube whose link factors span
+/// [1, 50], so the cost-aware route often differs from the hop-shortest one.
+fn cost_aware_instance(mode: LinkMode) -> (TaskGraph, HeterogeneousSystem) {
+    let mut rng = StdRng::seed_from_u64(0xC057);
+    let g = bsa::workloads::random_dag::paper_random_graph(40, 1.0, &mut rng).unwrap();
+    let topo = bsa::network::builders::hypercube_for(8)
+        .unwrap()
+        .with_link_mode(mode);
+    let sys = HeterogeneousSystem::generate(
+        &g,
+        topo,
+        HeterogeneityRange::DEFAULT,
+        HeterogeneityRange::new(1.0, 50.0),
+        &mut rng,
+    );
+    (g, sys)
+}
+
+/// Schedules under `MinTransferTime` on heterogeneous links, in both link modes, are
+/// frozen: placements, routes and hop windows, bit for bit.  Together with the
+/// default-policy pins above this covers every path that books a message along a
+/// policy route (BSA's full-reroute option, DLS, both HEFTs).  The fingerprints were
+/// generated by running commit 6bcd425 (the last commit that priced candidates by
+/// booking and rolling back) on exactly these instances.
+#[test]
+fn cost_aware_schedules_are_bit_identical_in_both_link_modes() {
+    #[rustfmt::skip]
+    let pins: [(LinkMode, Algo, f64, u64); 8] = [
+        (LinkMode::HalfDuplex, Algo::Bsa, 49992.30097896225, 0x6386b6fceaaee5bc),
+        (LinkMode::HalfDuplex, Algo::Dls, 39847.149773603414, 0x7befb93f9dd6cabb),
+        (LinkMode::HalfDuplex, Algo::HeftCa, 43237.22856794059, 0xe8c7d0118468b09e),
+        (LinkMode::HalfDuplex, Algo::HeftCo, 62772.3796859359, 0xd0ce036c58596453),
+        (LinkMode::FullDuplex, Algo::Bsa, 50833.68887710852, 0x5b68cc3417147f33),
+        (LinkMode::FullDuplex, Algo::Dls, 40242.240265029686, 0x6163dd666f37c27c),
+        (LinkMode::FullDuplex, Algo::HeftCa, 34811.26432795741, 0xe356f4c2f3927100),
+        (LinkMode::FullDuplex, Algo::HeftCo, 45460.02656528353, 0x76f3bae4200e0938),
+    ];
+    let options = SolveOptions::default().with_route_policy(RoutePolicy::MinTransferTime);
+    let mut got = Vec::new();
+    for &(mode, algo, ..) in &pins {
+        let (g, sys) = cost_aware_instance(mode);
+        let problem = Problem::new(&g, &sys).unwrap();
+        let s = algo
+            .solver()
+            .solve(&problem, &options, &mut NoProgress)
+            .unwrap()
+            .schedule;
+        assert_valid(&s, &g, &sys);
+        got.push((
+            mode,
+            algo,
+            s.schedule_length(),
+            schedule_fingerprint(&g, &s),
+        ));
+    }
+    for (pin, cur) in pins.iter().zip(&got) {
+        assert_eq!(
+            (pin.2, pin.3),
+            (cur.2, cur.3),
+            "{:?} {} drifted; computed pins:\n{}",
+            pin.0,
+            pin.1,
+            pin_listing(&got)
+        );
+    }
+}
+
+/// Every computed pin, one per line with fingerprints in hex, for failure messages.
+fn pin_listing<T: std::fmt::Debug>(v: &[T]) -> String {
+    v.iter()
+        .map(|x| format!("{x:x?}"))
+        .collect::<Vec<_>>()
+        .join(",\n")
+}
+
+/// Warm resolves of three different delta kinds are frozen, bit for bit: a downed
+/// link (re-routes only the affected messages), an added task (a fresh frontier), and
+/// a removed processor repaired under `MinTransferTime` (every candidate processor is
+/// scored by booking messages along policy routes).  Generated, like the pins above,
+/// by running commit 6bcd425 on exactly these inputs.
+#[test]
+fn warm_resolves_are_bit_identical() {
+    #[rustfmt::skip]
+    let pins: [(&str, f64, u64); 3] = [
+        ("link_down", 70562.85085807374, 0x5394da6349b636bd),
+        ("add_task", 56878.196692453595, 0x48b2a0e9a07212ed),
+        ("remove_processor", 54114.417439900746, 0x3114fcad0add565d),
+    ];
+    let (g, sys) = cost_aware_instance(LinkMode::HalfDuplex);
+    let problem = Problem::new(&g, &sys).unwrap();
+    let cold = Bsa::default().solve_unbounded(&problem).unwrap();
+    let order = bsa::taskgraph::TopologicalOrder::compute(&g);
+    let order = order.order();
+    let mut got = Vec::new();
+    for &(kind, ..) in &pins {
+        let mut delta = ProblemDelta::new();
+        let mut options = SolveOptions::default();
+        match kind {
+            "link_down" => {
+                delta.link_down(LinkId(1));
+            }
+            "add_task" => {
+                delta.add_task(
+                    "arrival",
+                    90.0,
+                    vec![(order[2], 30.0), (order[5], 60.0)],
+                    vec![(order[order.len() - 1], 30.0)],
+                );
+            }
+            _ => {
+                delta.remove_processor(ProcId(3));
+                options = options.with_route_policy(RoutePolicy::MinTransferTime);
+            }
+        }
+        let (update, warm) = cold.resolve(&problem, &delta, &options).unwrap();
+        assert_valid(&warm.schedule, update.graph(), update.system());
+        got.push((
+            kind,
+            warm.schedule.schedule_length(),
+            schedule_fingerprint(update.graph(), &warm.schedule),
+        ));
+    }
+    for (pin, cur) in pins.iter().zip(&got) {
+        assert_eq!(
+            (pin.1, pin.2),
+            (cur.1, cur.2),
+            "{} resolve drifted; computed pins:\n{}",
+            pin.0,
+            pin_listing(&got)
+        );
+    }
+}

@@ -148,7 +148,7 @@ proptest! {
 // ---------------------------------------------------------------------------------
 
 use bsa::baselines::message_router::{commit_route, route_message};
-use bsa::schedule::ScheduleBuilder;
+use bsa::schedule::{LinkOverlay, ScheduleBuilder};
 use rand::Rng;
 
 /// Builds a valid partial schedule by placing every task in topological order on a
@@ -169,7 +169,8 @@ fn build_routed_schedule<'a>(
             let e = graph.edge(eid);
             let sp = builder.proc_of(e.src).unwrap();
             let ready = builder.finish_of(e.src);
-            let (hops, arrival) = route_message(&mut builder, table, eid, sp, p, ready);
+            let (hops, arrival) =
+                route_message(&builder, &mut LinkOverlay::new(), table, eid, sp, p, ready);
             commit_route(&mut builder, eid, hops);
             da = da.max(arrival);
         }
@@ -253,7 +254,7 @@ proptest! {
                     let (sp, dp) = (builder.proc_of(e.src).unwrap(), builder.proc_of(e.dst).unwrap());
                     if sp != dp {
                         let ready = builder.finish_of(e.src);
-                        let (hops, _) = route_message(&mut builder, &table, eid, sp, dp, ready);
+                        let (hops, _) = route_message(&builder, &mut LinkOverlay::new(), &table, eid, sp, dp, ready);
                         commit_route(&mut builder, eid, hops);
                     }
                 }
@@ -318,7 +319,7 @@ proptest! {
                         if sp != dp {
                             let ready = builder.finish_of(e.src);
                             let (hops, _) =
-                                route_message(&mut builder, &table, eid, sp, dp, ready);
+                                route_message(&builder, &mut LinkOverlay::new(), &table, eid, sp, dp, ready);
                             commit_route(&mut builder, eid, hops);
                         }
                     }
@@ -540,5 +541,136 @@ proptest! {
         builder.recompute_times_incremental().unwrap();
         oracle.recompute_times().unwrap();
         prop_assert!(builder.same_schedule_state(&oracle));
+    }
+}
+
+// ---------------------------------------------------------------------------------
+// What-if gap queries: a `TimelineDelta` over a timeline answers exactly as the
+// materialized timeline would.
+// ---------------------------------------------------------------------------------
+
+/// Whether `Timeline::insert(start, duration)` keeps `t` consistent: sorted by start
+/// and non-overlapping, with the new interval where `insert` would put it.  Booking a
+/// positive-length interval at the start of a zero-length one breaks that (`insert`
+/// places it first); the pricing paths never book such a pair, so the generators
+/// below skip them too.
+fn insertable(t: &bsa::schedule::Timeline<u32>, start: f64, duration: f64) -> bool {
+    use bsa::schedule::timeline::TIME_EPS;
+    let ivs = t.intervals();
+    let pos = ivs.partition_point(|iv| iv.start < start - TIME_EPS);
+    let before =
+        pos == 0 || (ivs[pos - 1].finish <= start + TIME_EPS && ivs[pos - 1].start <= start);
+    let after = pos == ivs.len()
+        || (start + duration <= ivs[pos].start + TIME_EPS && start <= ivs[pos].start);
+    before && after
+}
+
+/// A dense timeline of about `len` intervals on a 0.25 grid: mostly short gaps (whole
+/// chunks the gap index can skip), some wide ones, and zero-length intervals, some of
+/// them sharing the start of the interval after them.
+fn dense_timeline(len: usize, rng: &mut StdRng) -> bsa::schedule::Timeline<u32> {
+    let mut t = bsa::schedule::Timeline::new();
+    let mut cursor = 0.0f64;
+    for i in 0..len {
+        cursor += match rng.gen_range(0..12) {
+            0 => rng.gen_range(8..40) as f64 * 0.25,
+            1 | 2 => 0.0,
+            _ => rng.gen_range(0..4) as f64 * 0.25,
+        };
+        let dur = rng.gen_range(1..12) as f64 * 0.25;
+        t.insert(cursor, dur, i as u32);
+        cursor += dur;
+    }
+    for i in 0..len / 8 {
+        let start = t.intervals()[rng.gen_range(0..t.len())].start;
+        if insertable(&t, start, 0.0) {
+            t.insert(start, 0.0, (len + i) as u32);
+        }
+    }
+    t
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// `earliest_gap_with` over a delta is bit-identical to `earliest_gap` on a clone
+    /// with the freed intervals removed and the windows inserted in booking order.
+    /// Windows are booked where the materialized clone finds room (as a pricer does),
+    /// including zero-length ones and ones whose start lies within `TIME_EPS` of a
+    /// neighbour's; frees favour positions on both sides of chunk boundaries; queries
+    /// include `ready` values past booked windows and exact-fit durations.
+    #[test]
+    fn overlay_gap_query_matches_a_materialized_clone(seed in any::<u64>(), len in 0usize..360) {
+        use bsa::schedule::timeline::{TimelineDelta, TIME_EPS};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let base = dense_timeline(len, &mut rng);
+        let n = base.len();
+        let mut materialized = base.clone();
+        let mut delta = TimelineDelta::default();
+        let mut freed = vec![false; n];
+        let mut windows: Vec<(f64, f64)> = Vec::new();
+        let horizon = base.last_finish() + 10.0;
+        let grid = |rng: &mut StdRng| rng.gen_range(0..(horizon * 4.0) as u32) as f64 * 0.25;
+        for step in 0..40u32 {
+            match rng.gen_range(0..3) {
+                0 if n > 0 => {
+                    let pos = if rng.gen_bool(0.5) && n > 32 {
+                        let k = rng.gen_range(1..=(n - 1) / 32);
+                        32 * k - 1 + rng.gen_range(0..2)
+                    } else {
+                        rng.gen_range(0..n)
+                    };
+                    if !freed[pos] {
+                        freed[pos] = true;
+                        delta.free(pos);
+                        let payload = base.intervals()[pos].payload;
+                        materialized.remove_where(|iv| iv.payload == payload).unwrap();
+                    }
+                }
+                1 => {
+                    // Off-grid by under `TIME_EPS`, so windows can start or end within
+                    // `TIME_EPS` of their neighbours.
+                    let ready = grid(&mut rng) + rng.gen_range(-2..=2) as f64 * 0.4 * TIME_EPS;
+                    let dur = match rng.gen_range(0..4) {
+                        0 => 0.0,
+                        _ => rng.gen_range(1..12) as f64 * 0.25,
+                    };
+                    let start = materialized.earliest_gap(ready, dur);
+                    prop_assert_eq!(
+                        base.earliest_gap_with(&delta, ready, dur).to_bits(),
+                        start.to_bits()
+                    );
+                    if insertable(&materialized, start, dur) {
+                        delta.book(start, dur);
+                        materialized.insert(start, dur, 100_000 + step);
+                        windows.push((start, start + dur));
+                    }
+                }
+                _ => {}
+            }
+            for _ in 0..6 {
+                let ready = match (rng.gen_range(0..3), windows.is_empty()) {
+                    // At or just past a booked window's end, so it lies behind `ready`.
+                    (0, false) => {
+                        windows[rng.gen_range(0..windows.len())].1
+                            + rng.gen_range(0..3) as f64 * 0.75 * TIME_EPS
+                    }
+                    (1, _) => rng.gen_range(0.0..horizon),
+                    _ => grid(&mut rng),
+                };
+                let dur = rng.gen_range(0..16) as f64 * 0.25;
+                let got = base.earliest_gap_with(&delta, ready, dur);
+                let want = materialized.earliest_gap(ready, dur);
+                prop_assert_eq!(
+                    got.to_bits(),
+                    want.to_bits(),
+                    "earliest_gap_with({}, {}) = {} != materialized {}",
+                    ready,
+                    dur,
+                    got,
+                    want
+                );
+            }
+        }
     }
 }

@@ -1,5 +1,5 @@
 //! Steady-state allocation audit of the incremental re-timing kernel and of
-//! speculation.
+//! neighbour pricing.
 //!
 //! The dirty-cone pass runs on persistent scaffolding (epoch-stamped slot maps,
 //! `clear()`-reused arenas, watermark-based undo stacks — DESIGN.md §7.5), so once a
@@ -7,18 +7,20 @@
 //! touch the heap at all.  This test pins that down with a counting global allocator:
 //! after a warm-up storm, every further pass — inside and outside transactions, with
 //! task and hop cones — must report **zero** allocations and zero frees.  The same
-//! holds for a `speculate` over a long pending dirty list: opening a transaction copies
-//! nothing and rollback only unwinds what the speculation did (DESIGN.md §7.1).
+//! holds for BSA's read-only neighbour pricing, whose link overlay reuses its scratch
+//! (DESIGN.md §7.1).
 //!
 //! The file deliberately contains a single `#[test]`: the counter is process-global
 //! (gated to the test thread via a thread-local flag), and a sibling test opting into
 //! counting on another thread would pollute the window.
 
+use bsa::core::bsa::NeighborPricer;
+use bsa::core::BsaConfig;
 use bsa::network::builders::ring;
-use bsa::network::{HeterogeneousSystem, LinkId, ProcId, RoutePolicy};
+use bsa::network::{CommModel, HeterogeneousSystem, LinkId, ProcId, RoutePolicy};
 use bsa::schedule::router::route_message;
 use bsa::schedule::schedule::MessageHop;
-use bsa::schedule::{RetimeKind, ScheduleBuilder};
+use bsa::schedule::{LinkOverlay, RetimeKind, ScheduleBuilder};
 use bsa::taskgraph::{EdgeId, TaskGraphBuilder, TaskId};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -296,71 +298,95 @@ fn steady_state_incremental_retiming_does_not_allocate() {
     );
     assert!(b.scaffold_matches_rebuild());
 
-    // Steady-state *speculation* over a pending dirty list: a second builder with
-    // every task but the consumer placed and never re-timed, so its dirty list holds
-    // every placed task — the shape of resolve's repair loop (adopt everything, re-time
-    // once at the end) and of DLS/HEFT (never re-time).  One candidate evaluation moves
-    // a task and books the producer → consumer message hop by hop, exactly as
-    // `route_message` does, then places the consumer behind it.  Opening the
-    // transaction must not copy the pending list and rolling back must not re-stamp
-    // it, so after warm-up the whole speculation stays heap-silent.
-    let mut pending = ScheduleBuilder::new(&graph, &system).unwrap();
-    pending.place_task(producer, ProcId(0), 0.0);
-    let mut starts = [100.0, 100.0];
-    for t in graph.task_ids().skip(2) {
-        let p = usize::from(t >= TaskId(51));
-        pending.place_task(t, ProcId(p as u32), starts[p]);
-        starts[p] = pending.finish_of(t);
+    // Steady-state *pricing*: BSA prices a migration read-only, booking the task's
+    // incoming messages in its pricer's link overlay.  On a 4-ring, consumer `x` sits on
+    // the pivot P0 and is fed by producers on P0, P1 (one hop) and P2 (two hops
+    // through P1).  Pricing `x` onto P1 or P3 frees a route that becomes local, books
+    // fresh and extended routes through the pivot, weighs direct links (P2 -- P1,
+    // P2 -- P3) and, under `MinTransferTime`, books and truncates a full reroute from
+    // P1 to P3.
+    // After warm-up the overlay scratch is reused, so pricing every neighbour, under
+    // either policy, must stay heap-silent.
+    let mut gb = TaskGraphBuilder::new();
+    let producers: Vec<TaskId> = (0..3).map(|i| gb.add_task(format!("p{i}"), 10.0)).collect();
+    let x = gb.add_task("x", 10.0);
+    for &p in &producers {
+        gb.add_edge(p, x, 4.0).unwrap();
     }
-    let candidate = |b: &mut ScheduleBuilder<'_>| {
-        b.speculate(|s| {
-            let p = s.proc_of(victim).unwrap();
-            s.unplace_task(victim);
-            let exec = s.exec_cost(victim, p);
-            let start = s.earliest_proc_slot(p, 1e7, exec);
-            s.place_task(victim, p, start);
-
-            s.clear_route(EdgeId(0));
-            let ready = s.finish_of(producer);
-            let dur = s.transfer_time(LinkId(0), EdgeId(0));
-            let hop_start = s.earliest_link_slot(LinkId(0), ProcId(0), ready, dur);
-            s.push_hop(
-                EdgeId(0),
-                MessageHop {
-                    link: LinkId(0),
-                    from: ProcId(0),
-                    to: ProcId(1),
-                    start: hop_start,
-                    finish: hop_start + dur,
-                },
-            );
-            let exec = s.exec_cost(consumer, ProcId(1));
-            let start = s.earliest_proc_slot(ProcId(1), hop_start + dur, exec);
-            s.place_task(consumer, ProcId(1), start);
-            s.finish_of(consumer)
-        })
+    let graph = gb.build().unwrap();
+    let system = HeterogeneousSystem::homogeneous(&graph, ring(4).unwrap());
+    let link = |a: u32, c: u32| system.topology.link_between(ProcId(a), ProcId(c)).unwrap();
+    let hop = |a: u32, c: u32, start: f64| MessageHop {
+        link: link(a, c),
+        from: ProcId(a),
+        to: ProcId(c),
+        start,
+        finish: start + 4.0,
     };
+    let mut warm = ScheduleBuilder::new(&graph, &system).unwrap();
+    for (i, &p) in producers.iter().enumerate() {
+        warm.place_task(p, ProcId(i as u32), 0.0);
+    }
+    warm.set_route(EdgeId(1), vec![hop(1, 0, 10.0)]);
+    warm.set_route(EdgeId(2), vec![hop(2, 1, 10.0), hop(1, 0, 14.0)]);
+    warm.place_task(x, ProcId(0), 18.0);
+
+    let cfg = BsaConfig::default();
+    let cost_aware = system.comm_model(RoutePolicy::MinTransferTime);
+    let mut pricer = NeighborPricer::new();
+    let mut price_all = |comm: Option<&CommModel>| {
+        system
+            .topology
+            .neighbors(ProcId(0))
+            .iter()
+            .map(|&(py, _)| pricer.estimate(&warm, x, ProcId(0), py, &cfg, comm))
+            .fold(0.0f64, f64::max)
+    };
+    for _ in 0..3 {
+        price_all(None);
+        price_all(Some(&cost_aware));
+    }
+    for _ in 0..10 {
+        for comm in [None, Some(&cost_aware)] {
+            let before = heap_events();
+            let finish = price_all(comm);
+            let after = heap_events();
+            assert!(finish > 18.0);
+            assert_eq!(
+                (after.0 - before.0, after.1 - before.1),
+                (0, 0),
+                "read-only neighbour pricing allocated in steady state"
+            );
+        }
+    }
+
+    // `route_message` books through the same kind of overlay; its only heap traffic
+    // is the owned route it returns.
     let comm = system.comm_model(RoutePolicy::default());
-    let reference = pending.clone();
-    for _ in 0..5 {
-        candidate(&mut pending);
-        route_message(&mut pending, &comm, EdgeId(0), ProcId(0), ProcId(1), 8.0);
+    let mut overlay = LinkOverlay::new();
+    for _ in 0..3 {
+        route_message(
+            &warm,
+            &mut overlay,
+            &comm,
+            EdgeId(0),
+            ProcId(0),
+            ProcId(2),
+            8.0,
+        );
     }
     for _ in 0..10 {
         let before = heap_events();
-        let finish = candidate(&mut pending);
-        let after = heap_events();
-        assert!(finish > 0.0);
-        assert_eq!(
-            (after.0 - before.0, after.1 - before.1),
-            (0, 0),
-            "speculation over a pending dirty list allocated in steady state"
+        let (hops, _) = route_message(
+            &warm,
+            &mut overlay,
+            &comm,
+            EdgeId(0),
+            ProcId(0),
+            ProcId(2),
+            8.0,
         );
-        // `route_message` speculates the same booking; its only heap traffic is the
-        // owned route it returns.
-        let before = heap_events();
-        let (hops, _) = route_message(&mut pending, &comm, EdgeId(0), ProcId(0), ProcId(1), 8.0);
-        assert_eq!(hops.len(), 1);
+        assert_eq!(hops.len(), 2);
         drop(hops);
         let after = heap_events();
         assert_eq!(
@@ -369,6 +395,5 @@ fn steady_state_incremental_retiming_does_not_allocate() {
             "route_message allocated beyond its returned route"
         );
     }
-    assert!(pending.same_schedule_state(&reference));
-    assert!(pending.scaffold_matches_rebuild());
+    assert!(overlay.is_empty());
 }
